@@ -96,9 +96,7 @@ fn rt_config(system: System, nodes: usize, topology: TopologyKind) -> RtConfig {
     cfg.spec.topology = topology;
     match system {
         System::AllScaleCentralIndex => cfg.central_index = true,
-        System::AllScaleRoundRobin => {
-            cfg.policy = Box::new(allscale_core::RoundRobinPolicy::default())
-        }
+        System::AllScaleRoundRobin => cfg.policy = allscale_core::SchedulingPolicy::RoundRobin,
         _ => {}
     }
     cfg

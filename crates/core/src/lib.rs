@@ -15,7 +15,9 @@
 //!   memoizes resolutions with epoch-based invalidation, keeping the hot
 //!   lookup path of data-aware scheduling free of repeated traversals;
 //! - the scheduler in [`runtime`]: Algorithm 2's data-requirement-aware
-//!   task placement with pluggable [`SchedulingPolicy`];
+//!   task placement, with its variant rule and [`SchedulingPolicy`]
+//!   fallback target in [`policy`] and the optional
+//!   [`WorkStealingScheduler`] queue family in [`scheduler`];
 //! - [`WorkItem`] / [`Prec`]: tasks with process/split variants and data
 //!   requirement functions — the artifact the AllScale compiler generates;
 //! - [`Grid`] and [`pfor`]: the user-facing API of the paper's Fig. 6b;
@@ -99,15 +101,11 @@ pub use index::{CentralIndex, DistIndex};
 pub use integrity::{IntegrityConfig, IntegrityStats};
 pub use loc_cache::{CacheStats, LocationCache};
 pub use monitor::{LocalityStats, Monitor, RunReport, SchedulerStats, ServeStats};
-pub use policy::{
-    DataAwarePolicy, PolicyEnv, RandomPolicy, RoundRobinPolicy, SchedulingPolicy, Variant,
-};
+pub use policy::{SchedulingPolicy, Variant};
 pub use rebalance::{plan_rebalance, split_off_cells, MoveSuggestion};
 pub use resilience::{CheckpointConfig, CkptMode, ResilienceConfig, ResilienceStats};
 pub use runtime::{AppDriver, Checkpoint, Locality, RtConfig, RtCtx, Runtime};
-pub use scheduler::{
-    DataAwareScheduler, Placement, Scheduler, StealConfig, VictimPolicy, WorkStealingScheduler,
-};
+pub use scheduler::{StealConfig, VictimPolicy, WorkStealingScheduler};
 pub use slo::{Request, RequestFactory, ServeSpec, SloConfig};
 
 // Fault-injection types, re-exported so applications configuring

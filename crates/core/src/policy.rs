@@ -1,4 +1,4 @@
-//! Scheduling policies (paper Algorithm 2, lines 3 and 12).
+//! The scheduling policy (paper Algorithm 2, lines 3 and 12).
 //!
 //! "Whenever a task is scheduled, in a first step a customizable scheduling
 //! policy is consulted to select the variant to be executed. … If neither
@@ -6,16 +6,15 @@
 //! requirements\] is available, the scheduling policy will be once more
 //! consulted to select a desirable locality."
 //!
-//! The default [`DataAwarePolicy`] splits tasks until the cluster is
-//! saturated and spreads placement-hinted tasks proportionally over the
-//! localities — which is what makes first-touch initialization lay data
-//! out in blocks ("during the initialization phase of applications, it is
-//! responsible for spreading out tasks such that data items get evenly
-//! distributed throughout the system"). [`RoundRobinPolicy`] and
-//! [`RandomPolicy`] serve as ablation baselines (DESIGN.md, A2).
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! The variant rule ([`pick_variant`]) is the same for every policy: split
+//! until the cluster is saturated. The fallback target is where the
+//! policies differ. [`SchedulingPolicy::DataAware`] (the default) spreads
+//! placement-hinted tasks proportionally over the localities — which is
+//! what makes first-touch initialization lay data out in blocks ("during
+//! the initialization phase of applications, it is responsible for
+//! spreading out tasks such that data items get evenly distributed
+//! throughout the system"). [`SchedulingPolicy::RoundRobin`] is the
+//! ablation baseline (DESIGN.md, A2).
 
 /// Which variant of a task to run (paper Def. 2.3 / Section 3.3: each task
 /// has a serial *process* variant and, where possible, a parallel *split*
@@ -28,87 +27,67 @@ pub enum Variant {
     Split,
 }
 
-/// Snapshot of runtime information a policy may consult.
-pub struct PolicyEnv<'a> {
-    /// Number of localities.
-    pub nodes: usize,
-    /// Cores per locality.
-    pub cores_per_node: usize,
-    /// Tasks currently queued or running per locality.
-    pub load: &'a [usize],
+/// Target number of leaf tasks per core the variant rule splits toward.
+const LEAVES_PER_CORE: usize = 2;
+
+/// Choose the variant for a task at recursion `depth` (Algorithm 2 line
+/// 3): split until ~[`LEAVES_PER_CORE`] leaf tasks exist per core.
+pub fn pick_variant(depth: u32, can_split: bool, nodes: usize, cores_per_node: usize) -> Variant {
+    if !can_split {
+        return Variant::Process;
+    }
+    let target_leaves = (nodes * cores_per_node * LEAVES_PER_CORE).max(1) as u64;
+    // A complete binary split tree has 2^depth tasks at this depth.
+    if (1u64 << depth.min(62)) < target_leaves {
+        Variant::Split
+    } else {
+        Variant::Process
+    }
 }
 
-/// A task-scheduling policy.
-pub trait SchedulingPolicy: 'static {
-    /// Choose the variant for a task at recursion `depth` with the given
-    /// split capability and placement hint.
-    fn pick_variant(
-        &mut self,
-        depth: u32,
-        can_split: bool,
-        hint: Option<f64>,
-        env: &PolicyEnv<'_>,
-    ) -> Variant;
-
-    /// Choose a target locality for a task whose requirements pin it
-    /// nowhere (Algorithm 2 line 12).
-    fn pick_target(&mut self, hint: Option<f64>, origin: usize, env: &PolicyEnv<'_>) -> usize;
-
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Map a placement hint in `[0, 1)` to a locality.
+/// Map a placement hint in `[0, 1)` to a locality. Hints at or above 1
+/// land on the last locality; negative and NaN hints on the first.
 pub fn hint_to_node(hint: f64, nodes: usize) -> usize {
-    ((hint.clamp(0.0, 1.0)) * nodes as f64) as usize % nodes.max(1)
+    ((hint.clamp(0.0, 1.0) * nodes as f64) as usize).min(nodes.saturating_sub(1))
 }
 
-/// The default policy: split until ~`oversubscription` leaf tasks exist
-/// per core, place hinted tasks by hint, unhinted ones on the least-loaded
-/// locality.
-pub struct DataAwarePolicy {
-    /// Target number of leaf tasks per core (default 2).
-    pub oversubscription: usize,
+/// How Algorithm 2 line 12 picks a locality for a task whose
+/// requirements pin it nowhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedulingPolicy {
+    /// The default: place hinted tasks by hint, unhinted ones on the
+    /// least-loaded locality (ties toward the origin, to preserve
+    /// locality).
+    DataAware,
+    /// Ablation: ignore hints, place tasks round-robin.
+    RoundRobin,
 }
 
-impl Default for DataAwarePolicy {
-    fn default() -> Self {
-        DataAwarePolicy {
-            oversubscription: 2,
-        }
-    }
-}
-
-impl SchedulingPolicy for DataAwarePolicy {
-    fn pick_variant(
-        &mut self,
-        depth: u32,
-        can_split: bool,
-        _hint: Option<f64>,
-        env: &PolicyEnv<'_>,
-    ) -> Variant {
-        if !can_split {
-            return Variant::Process;
-        }
-        let target_leaves =
-            (env.nodes * env.cores_per_node * self.oversubscription).max(1) as u64;
-        // A complete binary split tree has 2^depth tasks at this depth.
-        if (1u64 << depth.min(62)) < target_leaves {
-            Variant::Split
-        } else {
-            Variant::Process
-        }
-    }
-
-    fn pick_target(&mut self, hint: Option<f64>, origin: usize, env: &PolicyEnv<'_>) -> usize {
-        match hint {
-            Some(h) => hint_to_node(h, env.nodes),
-            None => {
-                // Least-loaded locality; ties break toward the origin to
-                // preserve locality.
+impl SchedulingPolicy {
+    /// Choose a target among `nodes` localities for a task spawned at
+    /// `origin`. `load(n)` is locality `n`'s queued-or-running task count;
+    /// `cursor` is the round-robin position, advanced once per
+    /// round-robin pick.
+    pub fn pick_target(
+        self,
+        hint: Option<f64>,
+        origin: usize,
+        nodes: usize,
+        load: impl Fn(usize) -> usize,
+        cursor: &mut usize,
+    ) -> usize {
+        match (self, hint) {
+            (SchedulingPolicy::RoundRobin, _) => {
+                let t = *cursor % nodes;
+                *cursor = cursor.wrapping_add(1);
+                t
+            }
+            (SchedulingPolicy::DataAware, Some(h)) => hint_to_node(h, nodes),
+            (SchedulingPolicy::DataAware, None) => {
                 let mut best = origin;
-                let mut best_load = env.load.get(origin).copied().unwrap_or(0);
-                for (n, &l) in env.load.iter().enumerate() {
+                let mut best_load = load(origin);
+                for n in 0..nodes {
+                    let l = load(n);
                     if l < best_load {
                         best = n;
                         best_load = l;
@@ -118,237 +97,60 @@ impl SchedulingPolicy for DataAwarePolicy {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "data-aware"
-    }
-}
-
-/// Ablation: ignore hints, place tasks round-robin.
-pub struct RoundRobinPolicy {
-    next: usize,
-    oversubscription: usize,
-}
-
-impl Default for RoundRobinPolicy {
-    fn default() -> Self {
-        RoundRobinPolicy {
-            next: 0,
-            oversubscription: 2,
-        }
-    }
-}
-
-impl SchedulingPolicy for RoundRobinPolicy {
-    fn pick_variant(
-        &mut self,
-        depth: u32,
-        can_split: bool,
-        _hint: Option<f64>,
-        env: &PolicyEnv<'_>,
-    ) -> Variant {
-        if !can_split {
-            return Variant::Process;
-        }
-        let target = (env.nodes * env.cores_per_node * self.oversubscription).max(1) as u64;
-        if (1u64 << depth.min(62)) < target {
-            Variant::Split
-        } else {
-            Variant::Process
-        }
-    }
-
-    fn pick_target(&mut self, _hint: Option<f64>, _origin: usize, env: &PolicyEnv<'_>) -> usize {
-        let t = self.next % env.nodes;
-        self.next = self.next.wrapping_add(1);
-        t
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Ablation: uniformly random placement (seeded, deterministic).
-///
-/// This is the "no information" baseline for scheduling experiments: it
-/// measures what locality hints and load feedback buy by *discarding
-/// both*. [`RandomPolicy::pick_target`] therefore ignores the position
-/// hint, the spawning locality, and the load vector **on purpose** — the
-/// only inputs are the node count and the policy's own seeded RNG stream.
-/// Making it hint- or origin-sensitive would silently turn the ablation
-/// into a weaker data-aware policy and corrupt any comparison against
-/// [`DataAwarePolicy`].
-///
-/// The stream is deterministic per seed and advances exactly once per
-/// `pick_target` call, so runs are reproducible and two policies built
-/// from the same seed make identical decisions (pinned by
-/// `random_policy_is_a_pure_seeded_ablation` below).
-pub struct RandomPolicy {
-    rng: StdRng,
-    oversubscription: usize,
-}
-
-impl RandomPolicy {
-    /// A random policy with the given seed.
-    pub fn new(seed: u64) -> Self {
-        RandomPolicy {
-            rng: StdRng::seed_from_u64(seed),
-            oversubscription: 2,
-        }
-    }
-}
-
-impl SchedulingPolicy for RandomPolicy {
-    fn pick_variant(
-        &mut self,
-        depth: u32,
-        can_split: bool,
-        _hint: Option<f64>,
-        env: &PolicyEnv<'_>,
-    ) -> Variant {
-        if !can_split {
-            return Variant::Process;
-        }
-        let target = (env.nodes * env.cores_per_node * self.oversubscription).max(1) as u64;
-        if (1u64 << depth.min(62)) < target {
-            Variant::Split
-        } else {
-            Variant::Process
-        }
-    }
-
-    // Intentionally blind: `_hint`, `_origin`, and `env.load` must not
-    // influence the draw (see the type-level docs for why).
-    fn pick_target(&mut self, _hint: Option<f64>, _origin: usize, env: &PolicyEnv<'_>) -> usize {
-        self.rng.gen_range(0..env.nodes)
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn env<'a>(nodes: usize, cores: usize, load: &'a [usize]) -> PolicyEnv<'a> {
-        PolicyEnv {
-            nodes,
-            cores_per_node: cores,
-            load,
-        }
+    /// `policy`'s pick over the load vector `load`, with a fresh cursor.
+    fn pick(policy: SchedulingPolicy, hint: Option<f64>, origin: usize, load: &[usize]) -> usize {
+        policy.pick_target(hint, origin, load.len(), |n| load[n], &mut 0)
     }
 
     #[test]
     fn data_aware_splits_until_saturation() {
-        let mut p = DataAwarePolicy::default();
-        let load = vec![0; 4];
-        let e = env(4, 2, &load); // target 16 leaves
-        assert_eq!(p.pick_variant(0, true, None, &e), Variant::Split);
-        assert_eq!(p.pick_variant(3, true, None, &e), Variant::Split);
-        assert_eq!(p.pick_variant(4, true, None, &e), Variant::Process);
-        assert_eq!(p.pick_variant(0, false, None, &e), Variant::Process);
+        // 4 nodes x 2 cores: target 16 leaves
+        assert_eq!(pick_variant(0, true, 4, 2), Variant::Split);
+        assert_eq!(pick_variant(3, true, 4, 2), Variant::Split);
+        assert_eq!(pick_variant(4, true, 4, 2), Variant::Process);
+        assert_eq!(pick_variant(0, false, 4, 2), Variant::Process);
     }
 
     #[test]
     fn hints_spread_blockwise() {
-        let mut p = DataAwarePolicy::default();
+        let p = SchedulingPolicy::DataAware;
         let load = vec![0; 8];
-        let e = env(8, 1, &load);
-        assert_eq!(p.pick_target(Some(0.0), 0, &e), 0);
-        assert_eq!(p.pick_target(Some(0.49), 0, &e), 3);
-        assert_eq!(p.pick_target(Some(0.99), 0, &e), 7);
+        assert_eq!(pick(p, Some(0.0), 0, &load), 0);
+        assert_eq!(pick(p, Some(0.49), 0, &load), 3);
+        assert_eq!(pick(p, Some(0.99), 0, &load), 7);
         // Hint 1.0 clamps into the last node.
-        assert_eq!(p.pick_target(Some(1.0), 0, &e), 0);
+        assert_eq!(pick(p, Some(1.0), 0, &load), 7);
     }
 
-    /// Pins the ablation semantics of `RandomPolicy::pick_target`: the
-    /// draw depends *only* on `(seed, call index, env.nodes)`. Hints,
-    /// origin, and load must all be invisible, and the stream must be
-    /// reproducible per seed.
     #[test]
-    fn random_policy_is_a_pure_seeded_ablation() {
-        const NODES: usize = 5;
-        const DRAWS: usize = 64;
-
-        // Reference stream: no hint, origin 0, idle cluster.
-        let idle = vec![0usize; NODES];
-        let mut reference = RandomPolicy::new(42);
-        let expected: Vec<usize> = (0..DRAWS)
-            .map(|_| reference.pick_target(None, 0, &env(NODES, 2, &idle)))
-            .collect();
-
-        // Same seed, wildly different hints / origins / loads: the
-        // stream must be identical draw for draw.
-        let skewed = vec![9999, 0, 17, 3, 250];
-        let mut blind = RandomPolicy::new(42);
-        for (i, &want) in expected.iter().enumerate() {
-            let hint = Some(i as f64 / DRAWS as f64);
-            let origin = i % NODES;
-            let got = blind.pick_target(hint, origin, &env(NODES, 2, &skewed));
-            assert_eq!(got, want, "draw {i}: hint/origin/load leaked in");
-        }
-
-        // Every draw lands in range, and over a modest window the policy
-        // actually spreads (it is random placement, not a constant).
-        assert!(expected.iter().all(|&t| t < NODES));
-        let mut seen = [false; NODES];
-        for &t in &expected {
-            seen[t] = true;
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "64 uniform draws over 5 nodes must cover all nodes: {expected:?}"
-        );
-
-        // A different seed gives a different stream (ablation runs are
-        // seed-keyed, not accidentally identical).
-        let mut other = RandomPolicy::new(43);
-        let other_stream: Vec<usize> = (0..DRAWS)
-            .map(|_| other.pick_target(None, 0, &env(NODES, 2, &idle)))
-            .collect();
-        assert_ne!(expected, other_stream, "seeds must key distinct streams");
-
-        // Variant selection is the shared saturation rule, untouched by
-        // the ablation: split until ~2x oversubscription, then process.
-        let mut p = RandomPolicy::new(7);
-        let e = env(4, 2, &idle[..4]); // target 16 leaves
-        assert_eq!(p.pick_variant(0, true, None, &e), Variant::Split);
-        assert_eq!(p.pick_variant(4, true, None, &e), Variant::Process);
-        assert_eq!(p.pick_variant(0, false, None, &e), Variant::Process);
+    fn out_of_range_hints_clamp_to_the_end_nodes() {
+        assert_eq!(hint_to_node(1.0, 8), 7);
+        assert_eq!(hint_to_node(7.5, 8), 7);
+        assert_eq!(hint_to_node(f64::NAN, 8), 0);
+        assert_eq!(hint_to_node(-0.5, 8), 0);
+        assert_eq!(hint_to_node(0.5, 1), 0);
     }
 
     #[test]
     fn unhinted_tasks_go_to_least_loaded() {
-        let mut p = DataAwarePolicy::default();
-        let load = vec![5, 2, 9, 2];
-        let e = env(4, 1, &load);
-        assert_eq!(p.pick_target(None, 0, &e), 1); // first least-loaded
-        let load2 = vec![0, 0, 0, 0];
-        let e2 = env(4, 1, &load2);
-        assert_eq!(p.pick_target(None, 2, &e2), 2); // tie → origin
+        let p = SchedulingPolicy::DataAware;
+        assert_eq!(pick(p, None, 0, &[5, 2, 9, 2]), 1); // first least-loaded
+        assert_eq!(pick(p, None, 2, &[0, 0, 0, 0]), 2); // tie → origin
     }
 
     #[test]
     fn round_robin_cycles() {
-        let mut p = RoundRobinPolicy::default();
-        let load = vec![0; 3];
-        let e = env(3, 1, &load);
-        let ts: Vec<usize> = (0..6).map(|_| p.pick_target(Some(0.9), 0, &e)).collect();
+        let p = SchedulingPolicy::RoundRobin;
+        let mut cursor = 0;
+        let ts: Vec<usize> = (0..6)
+            .map(|_| p.pick_target(Some(0.9), 0, 3, |_| 0, &mut cursor))
+            .collect();
         assert_eq!(ts, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn random_policy_is_deterministic_per_seed() {
-        let run = |seed| {
-            let mut p = RandomPolicy::new(seed);
-            let load = vec![0; 16];
-            let e = env(16, 1, &load);
-            (0..32).map(|_| p.pick_target(None, 0, &e)).collect::<Vec<_>>()
-        };
-        assert_eq!(run(5), run(5));
-        assert_ne!(run(5), run(6));
     }
 }

@@ -6,12 +6,12 @@
 //! plus the distributed index and the global task tables. The life of a
 //! task:
 //!
-//! 1. **assign** (Algorithm 2): the policy picks the variant; split tasks
-//!    are forwarded to their placement-hint locality and decomposed there,
-//!    process tasks are forwarded to a locality covering their data
-//!    requirements — all requirements if possible, else all write
-//!    requirements, else wherever the policy says. Index lookups
-//!    (Algorithm 1) and task forwards are billed on the network.
+//! 1. **assign** (Algorithm 2): the variant rule picks split or process;
+//!    split tasks are forwarded to their placement-hint locality and
+//!    decomposed there, process tasks are forwarded to a locality
+//!    covering their data requirements — all requirements if possible,
+//!    else all write requirements, else wherever the policy says. Index
+//!    lookups (Algorithm 1) and task forwards are billed on the network.
 //! 2. **prepare**: locks are acquired in the local data item manager
 //!    (parking the task on conflict); missing write regions are migrated
 //!    in (or first-touch allocated), missing read regions are replicated
@@ -45,13 +45,11 @@ use crate::index::{CentralIndex, DistIndex, Hop, Resolution};
 use crate::integrity::{IntegrityConfig, IntegrityManager};
 use crate::loc_cache::LocationCache;
 use crate::monitor::{Monitor, RunReport};
-use crate::policy::{DataAwarePolicy, PolicyEnv, SchedulingPolicy, Variant};
+use crate::policy::{pick_variant, SchedulingPolicy, Variant};
 use crate::resilience::{
     reconstruct, CkptKind, CkptMode, ResilienceConfig, ResilienceManager, SavedCkpt,
 };
-use crate::scheduler::{
-    DataAwareScheduler, Placement, Scheduler, StealConfig, WorkStealingScheduler,
-};
+use crate::scheduler::{StealConfig, WorkStealingScheduler};
 use crate::slo::{PendingReq, ServeSession, ServeSpec};
 use crate::task::{
     AccessMode, Done, ItemId, Requirement, SplitOutcome, TaskCtx, TaskId, TaskValue, WorkItem,
@@ -123,12 +121,10 @@ pub struct RtConfig {
     pub spec: ClusterSpec,
     /// Virtual-time cost constants.
     pub cost: CostModel,
-    /// Scheduling policy (Algorithm 2's pluggable part). With
-    /// `stealing` unset this drives the default [`DataAwareScheduler`];
-    /// with it set, the policy still makes the variant and
-    /// fallback-target decisions inside the [`WorkStealingScheduler`].
-    pub policy: Box<dyn SchedulingPolicy>,
-    /// Switch the scheduler family to per-locality bounded task queues
+    /// Scheduling policy: Algorithm 2's fallback-target choice, with or
+    /// without `stealing`.
+    pub policy: SchedulingPolicy,
+    /// Switch the scheduler to per-locality bounded task queues
     /// with work stealing (see [`StealConfig`] for the knobs: queue
     /// threshold, victim policy, attempts, seed). `None` (the default)
     /// keeps the paper's direct data-aware placement.
@@ -165,7 +161,7 @@ impl RtConfig {
         RtConfig {
             spec: ClusterSpec::meggie(nodes),
             cost: CostModel::default(),
-            policy: Box::new(DataAwarePolicy::default()),
+            policy: SchedulingPolicy::DataAware,
             stealing: None,
             central_index: false,
             faults: None,
@@ -180,7 +176,7 @@ impl RtConfig {
         RtConfig {
             spec: ClusterSpec::test(nodes, cores),
             cost: CostModel::default(),
-            policy: Box::new(DataAwarePolicy::default()),
+            policy: SchedulingPolicy::DataAware,
             stealing: None,
             central_index: false,
             faults: None,
@@ -245,9 +241,14 @@ pub struct RtWorld {
     retry_scheduled: bool,
     next_task: u64,
     next_item: u32,
-    /// The pluggable scheduler subsystem (decision-only; this module
-    /// executes its decisions and bills their traffic).
-    scheduler: Box<dyn Scheduler>,
+    /// Algorithm 2's fallback-target policy.
+    policy: SchedulingPolicy,
+    /// The round-robin policy's cursor. Recovery does not rewind it.
+    rr_next: usize,
+    /// The work-stealing queue family (`None`: direct placement). It only
+    /// decides; this module executes its decisions and bills their
+    /// traffic.
+    stealing: Option<WorkStealingScheduler>,
     driver: Option<Box<dyn AppDriver>>,
     phase: usize,
     finish_time: SimTime,
@@ -767,15 +768,9 @@ impl Runtime {
             IndexImpl::Dist(DistIndex::new(nodes))
         };
         let batching = config.spec.net.batching;
-        let scheduler: Box<dyn Scheduler> = match config.stealing {
-            Some(cfg) => Box::new(WorkStealingScheduler::new(
-                config.policy,
-                cfg,
-                nodes,
-                config.spec.cores_per_node,
-            )),
-            None => Box::new(DataAwareScheduler::new(config.policy)),
-        };
+        let stealing = config
+            .stealing
+            .map(|cfg| WorkStealingScheduler::new(cfg, nodes, config.spec.cores_per_node));
         let world = RtWorld {
             spec: config.spec,
             net,
@@ -791,7 +786,9 @@ impl Runtime {
             retry_scheduled: false,
             next_task: 0,
             next_item: 0,
-            scheduler,
+            policy: config.policy,
+            rr_next: 0,
+            stealing,
             driver: None,
             phase: 0,
             finish_time: SimTime::ZERO,
@@ -1418,14 +1415,6 @@ fn index_update(
         },
     );
     hops
-}
-
-fn policy_env(w: &RtWorld) -> (usize, usize, Vec<usize>) {
-    (
-        w.localities.len(),
-        w.spec.cores_per_node,
-        w.localities.iter().map(|l| l.load).collect(),
-    )
 }
 
 // ------------------------------------------------------------- phase driver
@@ -2544,7 +2533,9 @@ fn detect_and_recover(sim: &mut RtSim, dead: usize) {
     w.coalescer.clear();
     // Queued tasks and steal/wait state belong to the abandoned phase
     // too — stale grants and denies are disarmed by the epoch bump.
-    w.scheduler.clear();
+    if let Some(ws) = &mut w.stealing {
+        ws.clear();
+    }
     // An in-flight serving phase is abandoned wholesale (its arrivals,
     // completions and controller ticks are epoch-disarmed). The replayed
     // driver re-registers the spec with the same seeds, so the identical
@@ -2642,25 +2633,19 @@ fn assign_task(
     sim.world.next_task += 1;
 
     // Line 3: pick the variant.
-    let (nodes, cores, load) = policy_env(&sim.world);
-    let env = PolicyEnv {
+    let nodes = sim.world.localities.len();
+    let variant = pick_variant(
+        wi.depth(),
+        wi.can_split(),
         nodes,
-        cores_per_node: cores,
-        load: &load,
-    };
-    let variant =
-        sim.world
-            .scheduler
-            .pick_variant(wi.depth(), wi.can_split(), wi.placement_hint(), &env);
+        sim.world.spec.cores_per_node,
+    );
 
     match variant {
         Variant::Split => {
             // Pure decomposition: the policy chooses where it runs
             // (remapped off localities known dead).
-            let target = sim
-                .world
-                .scheduler
-                .pick_target(wi.placement_hint(), at, &env);
+            let target = pick_target(&mut sim.world, wi.placement_hint(), at);
             let target = live_target(&sim.world, target);
             let now = sim.now();
             trace_instant(
@@ -2696,13 +2681,14 @@ fn assign_task(
         }
         Variant::Process => {
             let reqs = wi.requirements();
-            let preferred = pick_process_target(sim, at, wi.as_ref(), &reqs, &env);
+            let preferred = pick_process_target(sim, at, wi.as_ref(), &reqs);
             let preferred = live_target(&sim.world, preferred);
-            // The scheduler routes the admitted task: directly to its
-            // data-aware locality, or into a (possibly spilled) queue.
-            let placement = sim.world.scheduler.admit(preferred, &sim.world.dead);
-            let target = placement.loc();
-            let queued = matches!(placement, Placement::Enqueue(_));
+            // The admitted task runs directly at its data-aware locality,
+            // or joins a (possibly spilled) work-stealing queue.
+            let (target, queued) = match &sim.world.stealing {
+                Some(ws) => (ws.admit(preferred, &sim.world.dead), true),
+                None => (preferred, false),
+            };
             let now = sim.now();
             trace_instant(
                 &sim.world,
@@ -2765,10 +2751,9 @@ fn pick_process_target(
     at: usize,
     wi: &dyn WorkItem,
     reqs: &[Requirement],
-    env: &PolicyEnv<'_>,
 ) -> usize {
     if reqs.is_empty() {
-        return sim.world.scheduler.pick_target(wi.placement_hint(), at, env);
+        return pick_target(&mut sim.world, wi.placement_hint(), at);
     }
     // Fast path: everything already available right here (covers
     // persistent replicas, e.g. the broadcast tree top).
@@ -2800,7 +2785,14 @@ fn pick_process_target(
         return p;
     }
     // Line 12: the policy decides.
-    sim.world.scheduler.pick_target(wi.placement_hint(), at, env)
+    pick_target(&mut sim.world, wi.placement_hint(), at)
+}
+
+/// Algorithm 2 line 12: the policy's target for a task spawned at `origin`.
+fn pick_target(w: &mut RtWorld, hint: Option<f64>, origin: usize) -> usize {
+    let locs = &w.localities;
+    w.policy
+        .pick_target(hint, origin, locs.len(), |n| locs[n].load, &mut w.rr_next)
 }
 
 /// The single process owning every requirement in `iter`, if one exists.
@@ -2867,15 +2859,36 @@ fn common_owner<'r>(
 // cannot livelock (each round either moves a task or parks the thief),
 // and the event queue still drains when the application completes.
 
+impl RtWorld {
+    /// The work-stealing scheduler, with the dead-locality flags its
+    /// victim and handoff choices skip. Only the queue-family paths call
+    /// this.
+    fn ws_and_dead(&mut self) -> (&mut WorkStealingScheduler, &[bool]) {
+        let ws = self
+            .stealing
+            .as_mut()
+            .expect("queue-family path without work stealing");
+        (ws, &self.dead)
+    }
+
+    fn ws(&mut self) -> &mut WorkStealingScheduler {
+        self.ws_and_dead().0
+    }
+}
+
 /// Enqueue an admitted (or stolen) task at `loc`, activate what fits,
 /// and hand surplus queued work to any parked waiter.
 fn enqueue_task(sim: &mut RtSim, loc: usize, tid: TaskId) {
-    sim.world.scheduler.enqueue(loc, tid);
+    sim.world.ws().enqueue(loc, tid);
     sim.world.monitor.scheduler.tasks_queued += 1;
     pump_queue(sim, loc);
     // Surplus push: a queue still backed up after pumping feeds parked
     // waiters directly — no request leg, just the handoff.
-    while let Some((waiter, task)) = sim.world.scheduler.take_handoff(loc, &sim.world.dead) {
+    loop {
+        let (ws, dead) = sim.world.ws_and_dead();
+        let Some((waiter, task)) = ws.take_handoff(loc, dead) else {
+            break;
+        };
         sim.world.monitor.scheduler.handoffs += 1;
         grant_steal(sim, loc, waiter, task);
     }
@@ -2883,7 +2896,7 @@ fn enqueue_task(sim: &mut RtSim, loc: usize, tid: TaskId) {
 
 /// Activate queued tasks at `loc` while slots are free; steal when dry.
 fn pump_queue(sim: &mut RtSim, loc: usize) {
-    while let Some(tid) = sim.world.scheduler.next_runnable(loc) {
+    while let Some(tid) = sim.world.ws().next_runnable(loc) {
         prepare_task(sim, tid);
     }
     maybe_steal(sim, loc);
@@ -2891,20 +2904,21 @@ fn pump_queue(sim: &mut RtSim, loc: usize) {
 
 /// Start a steal round from `thief` if it is idle with a dry queue.
 fn maybe_steal(sim: &mut RtSim, thief: usize) {
-    if !sim.world.scheduler.should_steal(thief) {
+    if !sim.world.ws().should_steal(thief) {
         return;
     }
-    sim.world.scheduler.begin_steal(thief);
+    sim.world.ws().begin_steal(thief);
     steal_attempt(sim, thief, 0);
 }
 
 /// One victim attempt of a steal round (`attempt` victims already tried).
 fn steal_attempt(sim: &mut RtSim, thief: usize, attempt: usize) {
-    let victim = sim.world.scheduler.steal_victim(thief, &sim.world.dead);
+    let (ws, dead) = sim.world.ws_and_dead();
+    let victim = ws.steal_victim(thief, dead);
     let Some(victim) = victim else {
         // Nothing to steal anywhere: park as a waiter until surplus
         // work shows up.
-        sim.world.scheduler.enlist_waiter(thief);
+        sim.world.ws().enlist_waiter(thief);
         return;
     };
     let now = sim.now();
@@ -2931,7 +2945,7 @@ fn steal_attempt(sim: &mut RtSim, thief: usize, attempt: usize) {
             steal_denied(sim, thief, attempt);
             return;
         }
-        match sim.world.scheduler.steal_task(victim) {
+        match sim.world.ws().steal_task(victim) {
             Some(tid) => grant_steal(sim, victim, thief, tid),
             None => {
                 let t = sim.now();
@@ -2957,18 +2971,18 @@ fn steal_attempt(sim: &mut RtSim, thief: usize, attempt: usize) {
 
 /// The thief's attempt came back empty: try the next victim, or park.
 fn steal_denied(sim: &mut RtSim, thief: usize, attempt: usize) {
-    sim.world.scheduler.end_steal(thief);
-    if !sim.world.scheduler.should_steal(thief) {
+    sim.world.ws().end_steal(thief);
+    if !sim.world.ws().should_steal(thief) {
         // Work arrived (or a slot filled) while the request was in
         // flight; the enqueue's pump already took over.
         return;
     }
     let next = attempt + 1;
-    if next >= sim.world.scheduler.max_attempts() {
-        sim.world.scheduler.enlist_waiter(thief);
+    if next >= sim.world.ws().max_attempts() {
+        sim.world.ws().enlist_waiter(thief);
         return;
     }
-    sim.world.scheduler.begin_steal(thief);
+    sim.world.ws().begin_steal(thief);
     steal_attempt(sim, thief, next);
 }
 
@@ -3006,11 +3020,11 @@ fn grant_steal(sim: &mut RtSim, victim: usize, thief: usize, tid: TaskId) {
             // removes a task from the run).
             sim.world.inflight.remove(&tid);
             sim.world.localities[thief].load -= 1;
-            sim.world.scheduler.end_steal(thief);
+            sim.world.ws().end_steal(thief);
             maybe_steal(sim, thief);
             return;
         }
-        sim.world.scheduler.end_steal(thief);
+        sim.world.ws().end_steal(thief);
         enqueue_task(sim, thief, tid);
     });
 }
@@ -3503,8 +3517,8 @@ fn finish_execution(sim: &mut RtSim, tid: TaskId) {
 
     // Queue family: the finished task's slot frees — activate the next
     // queued task, and steal if the queue is dry.
-    if sim.world.scheduler.uses_queues() {
-        sim.world.scheduler.release_slot(loc);
+    if let Some(ws) = &mut sim.world.stealing {
+        ws.release_slot(loc);
         pump_queue(sim, loc);
     }
 

@@ -1,27 +1,22 @@
-//! The scheduler subsystem: a swappable layer between Algorithm 2's
-//! variant/target decisions and the task lifecycle in [`crate::runtime`].
+//! The work-stealing scheduler: per-locality bounded task queues with a
+//! local-queue-threshold trigger and work stealing (the HPX-style
+//! decentralized alternative to the paper's direct placement).
 //!
-//! Two families implement the [`Scheduler`] trait:
+//! With `RtConfig::stealing` unset the runtime executes every process
+//! task directly at the locality its data requirements (or the
+//! [`SchedulingPolicy`](crate::SchedulingPolicy)) picked — the paper's
+//! Algorithm 2. With it set, admission still honors that data-aware
+//! preferred target (so first-touch layout is preserved), but a task
+//! whose preferred queue is at [`StealConfig::queue_threshold`] spills
+//! to the shortest live queue, and a locality that runs dry *steals*:
+//! it picks a victim via the [`VictimPolicy`], sends a billed steal
+//! request, and the victim hands over the back of its queue. Stolen
+//! tasks re-resolve their data requirements at the thief through the
+//! normal staging machinery (location cache included).
 //!
-//! - [`DataAwareScheduler`] — the paper's behavior, unchanged: every
-//!   process task executes directly at the locality its data
-//!   requirements (or the [`SchedulingPolicy`]) picked. This is the
-//!   default; with it the runtime is exactly the pre-refactor one.
-//! - [`WorkStealingScheduler`] — per-locality bounded task queues with a
-//!   local-queue-threshold trigger and work stealing (the HPX-style
-//!   decentralized alternative). Admission still honors the data-aware
-//!   preferred target (so first-touch layout is preserved), but a task
-//!   whose preferred queue is at [`StealConfig::queue_threshold`] spills
-//!   to the shortest live queue, and a locality that runs dry *steals*:
-//!   it picks a victim via the pluggable [`VictimPolicy`], sends a
-//!   billed steal request, and the victim hands over the back of its
-//!   queue. Stolen tasks re-resolve their data requirements at the thief
-//!   through the normal staging machinery (location cache included).
-//!
-//! The trait only *decides*; all effects — billing steal messages,
-//! moving descriptors, tracing — stay in the runtime, which drives the
-//! queue family through the `enqueue`/`next_runnable`/`steal_*` hooks.
-//! Direct schedulers leave those hooks at their no-op defaults.
+//! [`WorkStealingScheduler`] only *decides*; all effects — billing steal
+//! messages, moving descriptors, tracing — stay in the runtime, which
+//! drives it through `enqueue`/`next_runnable`/`steal_*`.
 //!
 //! Everything here is deterministic: queues are `VecDeque`s, victim
 //! cursors are per-thief counters, and the `Random` victim policy draws
@@ -32,181 +27,7 @@ use std::collections::VecDeque;
 
 use allscale_des::rng::XorShift64;
 
-use crate::policy::{PolicyEnv, SchedulingPolicy, Variant};
 use crate::task::TaskId;
-
-/// Where an admitted process task goes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Execute directly at the locality (data-aware family).
-    Execute(usize),
-    /// Enqueue in the locality's bounded task queue (stealing family).
-    Enqueue(usize),
-}
-
-impl Placement {
-    /// The locality the task was routed to, either way.
-    pub fn loc(self) -> usize {
-        match self {
-            Placement::Execute(l) | Placement::Enqueue(l) => l,
-        }
-    }
-}
-
-/// A pluggable scheduler. Decision-only: the runtime owns all effects.
-///
-/// The queue-family hooks default to no-ops so direct schedulers (which
-/// return [`Placement::Execute`] from [`Scheduler::admit`]) implement
-/// just the three Algorithm-2 decisions.
-pub trait Scheduler: 'static {
-    /// Scheduler name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Choose the variant for a task (Algorithm 2 line 3).
-    fn pick_variant(
-        &mut self,
-        depth: u32,
-        can_split: bool,
-        hint: Option<f64>,
-        env: &PolicyEnv<'_>,
-    ) -> Variant;
-
-    /// Choose a target locality for a task pinned nowhere (Algorithm 2
-    /// line 12).
-    fn pick_target(&mut self, hint: Option<f64>, origin: usize, env: &PolicyEnv<'_>) -> usize;
-
-    /// Route a process task whose data-aware `preferred` locality is
-    /// already decided (and live). Direct schedulers execute there;
-    /// queueing schedulers may spill past a full queue — but only to a
-    /// locality not flagged in `dead`.
-    fn admit(&mut self, preferred: usize, dead: &[bool]) -> Placement {
-        let _ = dead;
-        Placement::Execute(preferred)
-    }
-
-    /// Whether this scheduler routes tasks through per-locality queues
-    /// (the runtime then drives the hooks below).
-    fn uses_queues(&self) -> bool {
-        false
-    }
-
-    /// Append a task to `loc`'s queue.
-    fn enqueue(&mut self, loc: usize, task: TaskId) {
-        let _ = (loc, task);
-        unreachable!("direct schedulers never enqueue");
-    }
-
-    /// Pop the next task to activate at `loc`, if a slot is free — the
-    /// scheduler takes the slot. `None` when the queue is empty or every
-    /// slot is taken.
-    fn next_runnable(&mut self, loc: usize) -> Option<TaskId> {
-        let _ = loc;
-        None
-    }
-
-    /// Return the slot an activated task held (called at completion).
-    fn release_slot(&mut self, loc: usize) {
-        let _ = loc;
-    }
-
-    /// Tasks queued (not yet activated) at `loc`.
-    fn queue_len(&self, loc: usize) -> usize {
-        let _ = loc;
-        0
-    }
-
-    /// Whether `loc` should start a steal round: it has a free slot, an
-    /// empty queue, and no steal already in flight.
-    fn should_steal(&self, loc: usize) -> bool {
-        let _ = loc;
-        false
-    }
-
-    /// Mark a steal round in flight from `loc`.
-    fn begin_steal(&mut self, loc: usize) {
-        let _ = loc;
-    }
-
-    /// Clear `loc`'s steal/wait state (round over, grant arrived, or
-    /// handoff lost).
-    fn end_steal(&mut self, loc: usize) {
-        let _ = loc;
-    }
-
-    /// Pick a steal victim for `thief`: a live locality (never one
-    /// flagged in `dead`, never the thief) with a non-empty queue.
-    fn steal_victim(&mut self, thief: usize, dead: &[bool]) -> Option<usize> {
-        let _ = (thief, dead);
-        None
-    }
-
-    /// Give up the back of `victim`'s queue (the coldest task — its
-    /// data was staged least recently, so it is the cheapest to move).
-    fn steal_task(&mut self, victim: usize) -> Option<TaskId> {
-        let _ = victim;
-        None
-    }
-
-    /// Register `loc` as an idle waiter after an exhausted steal round;
-    /// a later surplus enqueue hands it work via [`Scheduler::take_handoff`].
-    fn enlist_waiter(&mut self, loc: usize) {
-        let _ = loc;
-    }
-
-    /// After `loc` gained surplus queued work: pop the oldest live
-    /// waiter (never `loc` itself, never a locality flagged in `dead`)
-    /// and the back of `loc`'s queue for a direct handoff.
-    fn take_handoff(&mut self, loc: usize, dead: &[bool]) -> Option<(usize, TaskId)> {
-        let _ = (loc, dead);
-        None
-    }
-
-    /// Steal attempts (victims tried) before a thief parks as a waiter.
-    fn max_attempts(&self) -> usize {
-        0
-    }
-
-    /// Drop all queued tasks, slots, and steal/wait state (recovery
-    /// rewinds the phase; the queues' tasks no longer exist).
-    fn clear(&mut self) {}
-}
-
-// --------------------------------------------------------------- data-aware
-
-/// The direct family: every admitted task executes at its preferred
-/// locality immediately — the paper's Algorithm 2, with the variant and
-/// fallback-target decisions delegated to the wrapped
-/// [`SchedulingPolicy`] exactly as before the scheduler refactor.
-pub struct DataAwareScheduler {
-    policy: Box<dyn SchedulingPolicy>,
-}
-
-impl DataAwareScheduler {
-    /// Wrap a policy (usually [`crate::policy::DataAwarePolicy`]).
-    pub fn new(policy: Box<dyn SchedulingPolicy>) -> Self {
-        DataAwareScheduler { policy }
-    }
-}
-
-impl Scheduler for DataAwareScheduler {
-    fn name(&self) -> &'static str {
-        self.policy.name()
-    }
-
-    fn pick_variant(
-        &mut self,
-        depth: u32,
-        can_split: bool,
-        hint: Option<f64>,
-        env: &PolicyEnv<'_>,
-    ) -> Variant {
-        self.policy.pick_variant(depth, can_split, hint, env)
-    }
-
-    fn pick_target(&mut self, hint: Option<f64>, origin: usize, env: &PolicyEnv<'_>) -> usize {
-        self.policy.pick_target(hint, origin, env)
-    }
-}
 
 // ------------------------------------------------------------ work stealing
 
@@ -281,7 +102,6 @@ impl LocState {
 /// at admission, and work stealing with pluggable victim selection. See
 /// the module docs for the protocol; the runtime drives it.
 pub struct WorkStealingScheduler {
-    policy: Box<dyn SchedulingPolicy>,
     cfg: StealConfig,
     /// Execution slots per locality (= cores: one activated task per
     /// core keeps queued tasks stealable instead of buried in a core
@@ -298,16 +118,9 @@ pub struct WorkStealingScheduler {
 
 impl WorkStealingScheduler {
     /// A work-stealing scheduler over `nodes` localities with `cores`
-    /// execution slots each, wrapping `policy` for the Algorithm-2
-    /// variant/fallback decisions.
-    pub fn new(
-        policy: Box<dyn SchedulingPolicy>,
-        cfg: StealConfig,
-        nodes: usize,
-        cores: usize,
-    ) -> Self {
+    /// execution slots each.
+    pub fn new(cfg: StealConfig, nodes: usize, cores: usize) -> Self {
         WorkStealingScheduler {
-            policy,
             cfg,
             slots: cores.max(1),
             locs: (0..nodes).map(|_| LocState::new()).collect(),
@@ -320,34 +133,14 @@ impl WorkStealingScheduler {
     fn drop_waiter(&mut self, loc: usize) {
         self.waiters.retain(|&w| w != loc);
     }
-}
 
-impl Scheduler for WorkStealingScheduler {
-    fn name(&self) -> &'static str {
-        match self.cfg.victim {
-            VictimPolicy::RoundRobin => "work-stealing(round-robin)",
-            VictimPolicy::LeastLoaded => "work-stealing(least-loaded)",
-            VictimPolicy::Random => "work-stealing(random)",
-        }
-    }
-
-    fn pick_variant(
-        &mut self,
-        depth: u32,
-        can_split: bool,
-        hint: Option<f64>,
-        env: &PolicyEnv<'_>,
-    ) -> Variant {
-        self.policy.pick_variant(depth, can_split, hint, env)
-    }
-
-    fn pick_target(&mut self, hint: Option<f64>, origin: usize, env: &PolicyEnv<'_>) -> usize {
-        self.policy.pick_target(hint, origin, env)
-    }
-
-    fn admit(&mut self, preferred: usize, dead: &[bool]) -> Placement {
+    /// Route a process task whose data-aware `preferred` locality is
+    /// already decided (and live) to the queue it joins: the preferred
+    /// one, or past it when full — but only to a locality not flagged in
+    /// `dead`.
+    pub fn admit(&self, preferred: usize, dead: &[bool]) -> usize {
         if self.locs[preferred].queue.len() < self.cfg.queue_threshold {
-            return Placement::Enqueue(preferred);
+            return preferred;
         }
         // Threshold spill: the shortest live queue (ties toward the
         // lowest index), which is usually an idle locality — the
@@ -363,14 +156,11 @@ impl Scheduler for WorkStealingScheduler {
                 best_len = l.queue.len();
             }
         }
-        Placement::Enqueue(best)
+        best
     }
 
-    fn uses_queues(&self) -> bool {
-        true
-    }
-
-    fn enqueue(&mut self, loc: usize, task: TaskId) {
+    /// Append a task to `loc`'s queue.
+    pub fn enqueue(&mut self, loc: usize, task: TaskId) {
         self.locs[loc].queue.push_back(task);
         // Local work ends a wait: the pump activates it right after.
         if self.locs[loc].mode == Mode::Waiting {
@@ -379,7 +169,10 @@ impl Scheduler for WorkStealingScheduler {
         }
     }
 
-    fn next_runnable(&mut self, loc: usize) -> Option<TaskId> {
+    /// Pop the next task to activate at `loc`, if a slot is free — the
+    /// scheduler takes the slot. `None` when the queue is empty or every
+    /// slot is taken.
+    pub fn next_runnable(&mut self, loc: usize) -> Option<TaskId> {
         let l = &mut self.locs[loc];
         if l.active >= self.slots {
             return None;
@@ -389,31 +182,40 @@ impl Scheduler for WorkStealingScheduler {
         Some(task)
     }
 
-    fn release_slot(&mut self, loc: usize) {
+    /// Return the slot an activated task held (called at completion).
+    pub fn release_slot(&mut self, loc: usize) {
         self.locs[loc].active = self.locs[loc].active.saturating_sub(1);
     }
 
-    fn queue_len(&self, loc: usize) -> usize {
+    /// Tasks queued (not yet activated) at `loc`.
+    pub fn queue_len(&self, loc: usize) -> usize {
         self.locs[loc].queue.len()
     }
 
-    fn should_steal(&self, loc: usize) -> bool {
+    /// Whether `loc` should start a steal round: it has a free slot, an
+    /// empty queue, and no steal already in flight.
+    pub fn should_steal(&self, loc: usize) -> bool {
         self.locs.len() > 1
             && self.locs[loc].mode == Mode::Idle
             && self.locs[loc].queue.is_empty()
             && self.locs[loc].active < self.slots
     }
 
-    fn begin_steal(&mut self, loc: usize) {
+    /// Mark a steal round in flight from `loc`.
+    pub fn begin_steal(&mut self, loc: usize) {
         self.locs[loc].mode = Mode::Stealing;
     }
 
-    fn end_steal(&mut self, loc: usize) {
+    /// Clear `loc`'s steal/wait state (round over, grant arrived, or
+    /// handoff lost).
+    pub fn end_steal(&mut self, loc: usize) {
         self.locs[loc].mode = Mode::Idle;
         self.drop_waiter(loc);
     }
 
-    fn steal_victim(&mut self, thief: usize, dead: &[bool]) -> Option<usize> {
+    /// Pick a steal victim for `thief`: a live locality (never one
+    /// flagged in `dead`, never the thief) with a non-empty queue.
+    pub fn steal_victim(&mut self, thief: usize, dead: &[bool]) -> Option<usize> {
         let nodes = self.locs.len();
         let eligible =
             |n: usize| n != thief && !dead[n] && !self.locs[n].queue.is_empty();
@@ -438,18 +240,26 @@ impl Scheduler for WorkStealingScheduler {
         }
     }
 
-    fn steal_task(&mut self, victim: usize) -> Option<TaskId> {
+    /// Give up the back of `victim`'s queue (the coldest task — its
+    /// data was staged least recently, so it is the cheapest to move).
+    pub fn steal_task(&mut self, victim: usize) -> Option<TaskId> {
         self.locs[victim].queue.pop_back()
     }
 
-    fn enlist_waiter(&mut self, loc: usize) {
+    /// Register `loc` as an idle waiter after an exhausted steal round;
+    /// a later surplus enqueue hands it work via
+    /// [`WorkStealingScheduler::take_handoff`].
+    pub fn enlist_waiter(&mut self, loc: usize) {
         self.locs[loc].mode = Mode::Waiting;
         if !self.waiters.contains(&loc) {
             self.waiters.push_back(loc);
         }
     }
 
-    fn take_handoff(&mut self, loc: usize, dead: &[bool]) -> Option<(usize, TaskId)> {
+    /// After `loc` gained surplus queued work: pop the oldest live
+    /// waiter (never `loc` itself, never a locality flagged in `dead`)
+    /// and the back of `loc`'s queue for a direct handoff.
+    pub fn take_handoff(&mut self, loc: usize, dead: &[bool]) -> Option<(usize, TaskId)> {
         if self.locs[loc].queue.is_empty() {
             return None;
         }
@@ -462,11 +272,14 @@ impl Scheduler for WorkStealingScheduler {
         Some((waiter, task))
     }
 
-    fn max_attempts(&self) -> usize {
+    /// Steal attempts (victims tried) before a thief parks as a waiter.
+    pub fn max_attempts(&self) -> usize {
         self.cfg.max_attempts.max(1)
     }
 
-    fn clear(&mut self) {
+    /// Drop all queued tasks, slots, and steal/wait state (recovery
+    /// rewinds the phase; the queues' tasks no longer exist).
+    pub fn clear(&mut self) {
         for l in &mut self.locs {
             l.queue.clear();
             l.active = 0;
@@ -479,11 +292,9 @@ impl Scheduler for WorkStealingScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::DataAwarePolicy;
 
     fn ws(nodes: usize, cores: usize, victim: VictimPolicy, seed: u64) -> WorkStealingScheduler {
         WorkStealingScheduler::new(
-            Box::new(DataAwarePolicy::default()),
             StealConfig {
                 victim,
                 seed,
@@ -518,12 +329,12 @@ mod tests {
         let dead = vec![false, false, false];
         fill(&mut s, 0, 4); // at the default threshold
         fill(&mut s, 1, 1);
-        assert_eq!(s.admit(0, &dead), Placement::Enqueue(2), "spill to the empty queue");
-        assert_eq!(s.admit(1, &dead), Placement::Enqueue(1), "below threshold stays");
+        assert_eq!(s.admit(0, &dead), 2, "spill to the empty queue");
+        assert_eq!(s.admit(1, &dead), 1, "below threshold stays");
         let dead2 = vec![false, true, true];
         assert_eq!(
             s.admit(0, &dead2),
-            Placement::Enqueue(0),
+            0,
             "no live spill target: stay at the preferred locality"
         );
     }

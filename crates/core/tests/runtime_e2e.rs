@@ -3,8 +3,8 @@
 //! against sequential oracles.
 
 use allscale_core::{
-    pfor, CostModel, DataAwarePolicy, FaultPlan, Grid, IntegrityConfig, PforSpec, Requirement,
-    ResilienceConfig, RtConfig, RtCtx, Runtime, TaskValue, WorkItem,
+    pfor, CostModel, FaultPlan, Grid, IntegrityConfig, PforSpec, Requirement, ResilienceConfig,
+    RtConfig, RtCtx, Runtime, SchedulingPolicy, TaskValue, WorkItem,
 };
 use allscale_des::{SimDuration, SimTime};
 use allscale_region::{BoxRegion, GridBox, GridFragment, Point, Region};
@@ -374,7 +374,7 @@ fn speed_factors_shift_completion_time() {
         if slow {
             cfg.cost.speed_factors = vec![1.0, 0.25];
         }
-        cfg.policy = Box::new(DataAwarePolicy::default());
+        cfg.policy = SchedulingPolicy::DataAware;
         let rt = Runtime::new(cfg);
         let report = rt.run(
             move |phase: usize,

@@ -20,10 +20,7 @@
 
 use std::collections::HashSet;
 
-use allscale_core::{
-    DataAwarePolicy, Placement, Scheduler, StealConfig, TaskId, VictimPolicy,
-    WorkStealingScheduler,
-};
+use allscale_core::{StealConfig, TaskId, VictimPolicy, WorkStealingScheduler};
 use proptest::prelude::*;
 
 /// Deterministic xorshift64 driving the op sequence (so a failure
@@ -64,12 +61,7 @@ impl Harness {
             ..StealConfig::default()
         };
         Harness {
-            sched: WorkStealingScheduler::new(
-                Box::new(DataAwarePolicy::default()),
-                cfg,
-                nodes,
-                cores,
-            ),
+            sched: WorkStealingScheduler::new(cfg, nodes, cores),
             nodes,
             dead: vec![false; nodes],
             outstanding: HashSet::new(),
@@ -103,11 +95,7 @@ impl Harness {
 
     fn admit(&mut self, rng: &mut XorShift) {
         let preferred = self.random_live(rng);
-        let placement = self.sched.admit(preferred, &self.dead);
-        let loc = match placement {
-            Placement::Execute(_) => panic!("queue family must enqueue, got {placement:?}"),
-            Placement::Enqueue(l) => l,
-        };
+        let loc = self.sched.admit(preferred, &self.dead);
         assert!(!self.dead[loc], "admission spilled to dead locality {loc}");
         let tid = TaskId(self.next_id);
         self.next_id += 1;

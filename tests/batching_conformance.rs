@@ -8,19 +8,18 @@
 //! overhead (Section 4.2) — batching must never make the simulated
 //! makespan worse.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+mod common;
 
 use allscale_apps::{stencil, tpc};
 use allscale_core::{
-    pfor, BatchParams, FaultPlan, Grid, IntegrityConfig, PforSpec, Requirement, ResilienceConfig,
-    RoundRobinPolicy, RtConfig, RtCtx, RunReport, Runtime, TaskValue, TraceConfig, WorkItem,
+    BatchParams, FaultPlan, IntegrityConfig, ResilienceConfig, RtConfig, RunReport,
+    SchedulingPolicy, TraceConfig,
 };
 use allscale_des::{SimDuration, SimTime};
 use allscale_net::{FatTree, FlushCause, NetParams, Network, RetryPolicy, Verdict};
 use allscale_model as model;
-use allscale_region::{BoxRegion, Region};
 use allscale_trace::{EventKind, TransferPurpose};
+use common::{random_phased_program, run_chaos, ChaosRun};
 
 /// Deterministic xorshift64 PRNG — the shared kernel, stream-compatible
 /// with the copy this harness historically inlined.
@@ -119,7 +118,7 @@ fn randomized_programs_agree_under_chaotic_placement() {
         let mk = |batch: bool| {
             let mut rt = RtConfig::test(cfg.nodes, cores);
             if chaotic {
-                rt.policy = Box::new(RoundRobinPolicy::default());
+                rt.policy = SchedulingPolicy::RoundRobin;
             }
             if batch {
                 rt = batched(rt);
@@ -136,111 +135,12 @@ fn randomized_programs_agree_under_chaotic_placement() {
 
 // ------------------------------------------------ chaos program (migrations)
 
-const CHAOS_N: i64 = 96;
-const CHAOS_STEPS: usize = 4;
-
-/// A randomized program with spontaneous migrations at every phase
-/// boundary (the runtime analogue of the model driver's chaos schedules):
-/// fill, bump every cell once per step with a random region migration
-/// before each step, then read back exact values. The readback fails loud
-/// if batching ever lost, duplicated, or stale-served a byte.
-fn run_chaos(
-    seed: u64,
-    batching: Option<BatchParams>,
-    faults: Option<FaultPlan>,
-    resilience: Option<ResilienceConfig>,
-    integrity: Option<IntegrityConfig>,
-) -> RunReport {
-    let nodes = 4usize;
-    let grid: Rc<RefCell<Option<Grid<f64, 1>>>> = Rc::new(RefCell::new(None));
-    let gc = grid.clone();
-    let mut cfg = RtConfig::test(nodes, 2);
-    cfg.faults = faults;
-    cfg.resilience = resilience;
-    cfg.integrity = integrity;
-    if let Some(bp) = batching {
-        cfg = cfg.with_batching(bp);
+/// The chaos program with default batching.
+fn batched_chaos() -> ChaosRun {
+    ChaosRun {
+        batching: Some(BatchParams::default()),
+        ..ChaosRun::default()
     }
-    let runtime = Runtime::new(cfg);
-    runtime.run(
-        move |phase: usize, ctx: &mut RtCtx<'_>, _prev: TaskValue| -> Option<Box<dyn WorkItem>> {
-            let violations = ctx.verify_consistency();
-            assert!(
-                violations.is_empty(),
-                "seed {seed}, phase {phase}: {violations:?}"
-            );
-            if phase == 0 {
-                let g = Grid::<f64, 1>::create(ctx, "chaos", [CHAOS_N]);
-                *gc.borrow_mut() = Some(g);
-                return Some(pfor(
-                    PforSpec {
-                        name: "fill",
-                        range: g.full_box(),
-                        grain: 12,
-                        ns_per_point: 3.0,
-                        axis0_pieces: 8,
-                    },
-                    move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
-                    move |tctx, p| g.set(tctx, p.0, p[0] as f64),
-                ));
-            }
-            let g = gc.borrow().unwrap();
-            if phase <= CHAOS_STEPS {
-                let mut rng = XorShift::new(seed.wrapping_mul(0x9e3779b9) ^ phase as u64);
-                let src = rng.below(nodes as u64) as usize;
-                let dst = rng.below(nodes as u64) as usize;
-                if src != dst {
-                    let lo = rng.below(CHAOS_N as u64) as i64;
-                    let len = 1 + rng.below(48) as i64;
-                    let slice = BoxRegion::<1>::cuboid([lo], [(lo + len).min(CHAOS_N)]);
-                    let owned = ctx.owned_region_at(src, g.id);
-                    let owned = owned
-                        .as_any()
-                        .downcast_ref::<BoxRegion<1>>()
-                        .expect("1-D grid region")
-                        .clone();
-                    let moved = owned.intersect(&slice);
-                    if !moved.is_empty() {
-                        ctx.migrate_region(g.id, &moved, src, dst);
-                    }
-                }
-                return Some(pfor(
-                    PforSpec {
-                        name: "bump",
-                        range: g.full_box(),
-                        grain: 12,
-                        ns_per_point: 3.0,
-                        axis0_pieces: 8,
-                    },
-                    move |tile| vec![Requirement::write(g.id, BoxRegion::from_box(*tile))],
-                    move |tctx, p| {
-                        let v = g.get(tctx, p.0);
-                        g.set(tctx, p.0, v + 1.0);
-                    },
-                ));
-            }
-            if phase == CHAOS_STEPS + 1 {
-                return Some(pfor(
-                    PforSpec {
-                        name: "readback",
-                        range: g.full_box(),
-                        grain: 12,
-                        ns_per_point: 1.0,
-                        axis0_pieces: 8,
-                    },
-                    move |tile| vec![Requirement::read(g.id, BoxRegion::from_box(*tile))],
-                    move |tctx, p| {
-                        assert_eq!(
-                            g.get(tctx, p.0),
-                            p[0] as f64 + CHAOS_STEPS as f64,
-                            "seed {seed}: wrong value at {p:?}"
-                        );
-                    },
-                ));
-            }
-            None
-        },
-    )
 }
 
 /// Spontaneous random migrations every phase, batched vs unbatched: exact
@@ -249,8 +149,8 @@ fn run_chaos(
 #[test]
 fn chaotic_migrations_agree_across_batching() {
     for seed in 0..6u64 {
-        let un = run_chaos(seed, None, None, None, None);
-        let ba = run_chaos(seed, Some(BatchParams::default()), None, None, None);
+        let un = run_chaos(seed, ChaosRun::default());
+        let ba = run_chaos(seed, batched_chaos());
         assert_task_monitors_identical(&un, &ba, &format!("chaos seed {seed}"));
         assert_eq!(un.traffic.batches, 0);
         assert!(ba.traffic.batches > 0, "seed {seed}: nothing batched");
@@ -266,17 +166,18 @@ fn chaotic_migrations_agree_across_batching() {
 fn corrupted_batch_flushes_rerequest_and_agree() {
     let mut corruptions = 0u64;
     for seed in 0..4u64 {
-        let clean = run_chaos(seed, Some(BatchParams::default()), None, None, None);
+        let clean = run_chaos(seed, batched_chaos());
         let plan = FaultPlan::new(seed ^ 0xbad_c0de).with_corruption(0.08);
         let dirty = run_chaos(
             seed,
-            Some(BatchParams::default()),
-            Some(plan),
-            None,
-            Some(IntegrityConfig {
-                scrub_period: None,
-                ..IntegrityConfig::default()
-            }),
+            ChaosRun {
+                faults: Some(plan),
+                integrity: Some(IntegrityConfig {
+                    scrub_period: None,
+                    ..IntegrityConfig::default()
+                }),
+                ..batched_chaos()
+            },
         );
         assert_task_monitors_identical(&clean, &dirty, &format!("corrupt seed {seed}"));
         assert!(dirty.traffic.batches > 0, "seed {seed}: nothing batched");
@@ -366,63 +267,6 @@ fn corrupted_batch_flush_rerequests_as_a_unit() {
 
 // ----------------------------------------------------- model properties
 
-/// Random fork-join program over partitioned items, same family as the
-/// runtime programs above: per phase, writers over a random disjoint
-/// partition, then readers over random overlapping subsets.
-fn random_phased_program(rng: &mut XorShift) -> model::Program {
-    use model::{Action, ItemId, ProgramBuilder, TaskId, VariantSpec};
-    let mut b = ProgramBuilder::new();
-    let elems = 8 + 4 * rng.below(3) as u32;
-    b.item(ItemId(0), elems);
-    let mut next_task = 1u32;
-    let mut actions = vec![Action::Create(ItemId(0))];
-    for _phase in 0..1 + rng.below(3) {
-        let k = 2 + rng.below(4);
-        let mut parts: Vec<Vec<u32>> = vec![Vec::new(); k as usize];
-        for e in 0..elems {
-            parts[rng.below(k) as usize].push(e);
-        }
-        let mut wave = Vec::new();
-        for part in parts.into_iter().filter(|p| !p.is_empty()) {
-            let t = TaskId(next_task);
-            next_task += 1;
-            b.variant(
-                t,
-                VariantSpec {
-                    writes: model::program::req(&[(ItemId(0), &part)]),
-                    ..Default::default()
-                },
-            );
-            wave.push(t);
-        }
-        actions.extend(wave.iter().map(|&t| Action::Spawn(t)));
-        actions.extend(wave.iter().map(|&t| Action::Sync(t)));
-        let mut subset: Vec<u32> = (0..elems).filter(|_| rng.below(2) == 0).collect();
-        if subset.is_empty() {
-            subset.push(0);
-        }
-        let t = TaskId(next_task);
-        next_task += 1;
-        b.variant(
-            t,
-            VariantSpec {
-                reads: model::program::req(&[(ItemId(0), &subset)]),
-                ..Default::default()
-            },
-        );
-        actions.push(Action::Spawn(t));
-        actions.push(Action::Sync(t));
-    }
-    b.variant(
-        TaskId(0),
-        VariantSpec {
-            actions,
-            ..Default::default()
-        },
-    );
-    b.build(TaskId(0))
-}
-
 /// The randomized program family exercised by this suite satisfies all
 /// five Section 2.5 properties under chaos schedules — batching lives
 /// strictly below the model's observation level, so conformance of the
@@ -431,7 +275,7 @@ fn random_phased_program(rng: &mut XorShift) -> model::Program {
 fn randomized_program_family_satisfies_model_properties() {
     for seed in 0..8u64 {
         let mut rng = XorShift::new(seed ^ 0xba7c);
-        let program = random_phased_program(&mut rng);
+        let program = random_phased_program(&mut rng, 1);
         let mut driver = model::Driver::new(seed ^ 0xdead_beef);
         driver.chaos_percent = 60;
         let (trace, outcome) =
@@ -576,7 +420,7 @@ fn batch_counters_are_consistent() {
 fn batching_fault_soak() {
     let mut corruptions = 0u64;
     for seed in 0..12u64 {
-        let clean = run_chaos(seed, Some(BatchParams::default()), None, None, None);
+        let clean = run_chaos(seed, batched_chaos());
         let total_ns = clean.finish_time.as_nanos();
         let victim = 1 + (seed % 3) as usize;
         let frac = 25 + (seed % 6) * 11;
@@ -591,13 +435,15 @@ fn batching_fault_soak() {
         };
         let report = run_chaos(
             seed,
-            Some(BatchParams::default()),
-            Some(plan),
-            Some(resil),
-            Some(IntegrityConfig {
-                scrub_period: None,
-                ..IntegrityConfig::default()
-            }),
+            ChaosRun {
+                faults: Some(plan),
+                resilience: Some(resil),
+                integrity: Some(IntegrityConfig {
+                    scrub_period: None,
+                    ..IntegrityConfig::default()
+                }),
+                ..batched_chaos()
+            },
         );
         let r = &report.monitor.resilience;
         assert!(r.detections >= 1, "seed {seed}: death undetected ({r:?})");

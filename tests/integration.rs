@@ -4,7 +4,7 @@
 //! the AllScale/MPI ports.
 
 use allscale_apps::{ipic3d, stencil, tpc};
-use allscale_core::{RoundRobinPolicy, RtConfig};
+use allscale_core::{RtConfig, SchedulingPolicy};
 
 // ------------------------------------------------------------------ stencil
 
@@ -41,7 +41,7 @@ fn stencil_results_are_independent_of_scheduling_policy() {
     // when placement is terrible.
     let cfg = stencil::StencilConfig::small(4);
     let mut rt_cfg = RtConfig::test(4, 2);
-    rt_cfg.policy = Box::new(RoundRobinPolicy::default());
+    rt_cfg.policy = SchedulingPolicy::RoundRobin;
     let scattered = stencil::allscale_version::run_with(&cfg, rt_cfg);
     assert!(scattered.validated, "round-robin placement must stay correct");
 }
