@@ -21,10 +21,10 @@
 pub mod allscale_version;
 pub mod mpi_version;
 
-use serde::{Deserialize, Serialize};
+use allscale_region::wire::{Wire, WireError};
 
 /// One charged particle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Particle {
     /// Unique id (checksums, debugging).
     pub id: u64,
@@ -32,6 +32,21 @@ pub struct Particle {
     pub pos: [f64; 3],
     /// Velocity in domain units per time unit.
     pub vel: [f64; 3],
+}
+
+impl Wire for Particle {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.id.encode_into(out);
+        self.pos.encode_into(out);
+        self.vel.encode_into(out);
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(Particle {
+            id: Wire::decode_from(input)?,
+            pos: Wire::decode_from(input)?,
+            vel: Wire::decode_from(input)?,
+        })
+    }
 }
 
 /// The particle list of one grid cell.

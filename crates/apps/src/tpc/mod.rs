@@ -18,8 +18,7 @@
 pub mod allscale_version;
 pub mod mpi_version;
 
-use serde::{Deserialize, Serialize};
-
+use allscale_region::wire::{Wire, WireError};
 use allscale_region::TreePath;
 
 /// Dimensionality of the point space.
@@ -28,12 +27,25 @@ pub const DIMS: usize = 7;
 pub const EXTENT: f64 = 100.0;
 
 /// One kd-tree node: the splitting point and its dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KdNode {
     /// The point stored at this node (the median of its subtree).
     pub point: [f64; DIMS],
     /// The splitting dimension (depth mod 7).
     pub dim: u8,
+}
+
+impl Wire for KdNode {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.point.encode_into(out);
+        self.dim.encode_into(out);
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(KdNode {
+            point: Wire::decode_from(input)?,
+            dim: Wire::decode_from(input)?,
+        })
+    }
 }
 
 /// Benchmark configuration.

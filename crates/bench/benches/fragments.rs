@@ -4,8 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use allscale_net::wire;
-use allscale_region::{BoxRegion, Fragment, GridFragment};
+use allscale_region::{wire, BoxRegion, Fragment, GridFragment};
 
 fn filled(n: i64) -> GridFragment<f64, 2> {
     let mut f = GridFragment::new(&BoxRegion::cuboid([0, 0], [n, n]));
@@ -43,9 +42,9 @@ fn bench_wire_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire");
     for &n in &[64i64, 256] {
         let f = filled(n);
-        let bytes = wire::encode(&f).unwrap();
+        let bytes = wire::encode(&f);
         g.bench_with_input(BenchmarkId::new("encode_fragment", n), &n, |b, _| {
-            b.iter(|| wire::encode(black_box(&f)).unwrap())
+            b.iter(|| wire::encode(black_box(&f)))
         });
         g.bench_with_input(BenchmarkId::new("decode_fragment", n), &n, |b, _| {
             b.iter(|| wire::decode::<GridFragment<f64, 2>>(black_box(&bytes)).unwrap())

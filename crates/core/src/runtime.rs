@@ -974,7 +974,7 @@ fn send_msg(
     w.monitor.per_locality[from].bytes_sent += bytes as u64;
     match w
         .net
-        .transfer_with_retry_frame(now, from, to, bytes, &w.retry_policy)
+        .transfer_with_retry(now, from, to, bytes, &w.retry_policy)
     {
         Ok(delivered) => {
             let arrival = delivered.at;
@@ -1189,7 +1189,7 @@ fn flush_batch(sim: &mut RtSim, batch: Batch<PendingMsg>) {
     let outcome = {
         let w = &mut sim.world;
         w.net
-            .transfer_batch_frame(now, src, dst, batch.bytes, msgs, batch.cause, &w.retry_policy)
+            .transfer_batch(now, src, dst, batch.bytes, msgs, batch.cause, &w.retry_policy)
     };
     match outcome {
         Ok(delivered) => {
@@ -2316,10 +2316,10 @@ fn scrub_tick(sim: &mut RtSim) {
                 let Some(t) = send(&mut sim.world, t, owner, holder, ctrl, tag) else {
                     continue;
                 };
-                let mine = frame::fnv1a64(
+                let mine = fnv1a_64(
                     &sim.world.localities[holder].dim.peek_bytes(item, overlap.as_ref()),
                 );
-                let theirs = frame::fnv1a64(
+                let theirs = fnv1a_64(
                     &sim.world.localities[owner].dim.peek_bytes(item, overlap.as_ref()),
                 );
                 if mine == theirs {

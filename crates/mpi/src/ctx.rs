@@ -6,8 +6,7 @@
 //! shared network model.
 
 use allscale_des::{SimDuration, ThreadCtx};
-use allscale_net::wire;
-use serde::{de::DeserializeOwned, Serialize};
+use allscale_region::wire::{self, Wire};
 
 /// Requests a rank can issue to the coordinator.
 pub enum MpiCall {
@@ -83,9 +82,9 @@ impl<T> RankCtx<'_, T> {
         self.size
     }
 
-    /// Send a serializable value to `to` with `tag`.
-    pub fn send<V: Serialize>(&self, to: usize, tag: u32, value: &V) {
-        let bytes = wire::encode(value).expect("mpi payload serialization");
+    /// Send an encodable value to `to` with `tag`.
+    pub fn send<V: Wire>(&self, to: usize, tag: u32, value: &V) {
+        let bytes = wire::encode(value);
         match self.inner.call(MpiCall::Send { to, tag, bytes }) {
             MpiReply::Ok => {}
             _ => unreachable!("protocol violation: send reply"),
@@ -93,7 +92,7 @@ impl<T> RankCtx<'_, T> {
     }
 
     /// Receive a value from `from` with `tag` (blocking, FIFO per channel).
-    pub fn recv<V: DeserializeOwned>(&self, from: usize, tag: u32) -> V {
+    pub fn recv<V: Wire>(&self, from: usize, tag: u32) -> V {
         match self.inner.call(MpiCall::Recv { from, tag }) {
             MpiReply::Msg(bytes) => {
                 wire::decode(&bytes).expect("mpi payload deserialization")
@@ -104,12 +103,7 @@ impl<T> RankCtx<'_, T> {
 
     /// Combined send+receive with a partner rank (halo-exchange idiom;
     /// deadlock-free because sends are buffered).
-    pub fn sendrecv<V: Serialize, W: DeserializeOwned>(
-        &self,
-        partner: usize,
-        tag: u32,
-        value: &V,
-    ) -> W {
+    pub fn sendrecv<V: Wire, W: Wire>(&self, partner: usize, tag: u32, value: &V) -> W {
         self.send(partner, tag, value);
         self.recv(partner, tag)
     }
@@ -160,11 +154,7 @@ impl<T> RankCtx<'_, T> {
     /// Personalized all-to-all: element `i` of `outbox` goes to rank `i`;
     /// returns the inbox indexed by source rank. Built from point-to-point
     /// messages (ring schedule), like a small MPI_Alltoallv.
-    pub fn alltoall<V: Serialize + DeserializeOwned>(
-        &self,
-        tag: u32,
-        outbox: Vec<V>,
-    ) -> Vec<V> {
+    pub fn alltoall<V: Wire>(&self, tag: u32, outbox: Vec<V>) -> Vec<V> {
         assert_eq!(outbox.len(), self.size, "one outbox entry per rank");
         let me = self.rank;
         let n = self.size;

@@ -3,10 +3,10 @@
 //! Replaces the paper's Intel OmniPath fat-tree (and HPX's communication
 //! layer) with a deterministic cost model over [`allscale_des`]:
 //!
-//! - [`wire`]: a compact binary serde format — all inter-locality data
-//!   movement is real serialized bytes, enforcing address-space separation;
-//! - [`frame`]: FNV-1a checksum framing over those bytes — the
-//!   end-to-end integrity boundary for transfers and checkpoint shards;
+//! - [`frame`]: FNV-1a checksum framing over the encoded bytes every
+//!   inter-locality transfer carries (the codec is
+//!   `allscale_region::wire`) — the end-to-end integrity boundary for
+//!   transfers and checkpoint shards;
 //! - [`FatTree`] / [`SingleSwitch`]: hop-count topologies;
 //! - [`Network`]: LogGP-style accounting (latency + bandwidth + per-NIC
 //!   occupancy) shared by the AllScale runtime and the MPI baseline;
@@ -24,7 +24,6 @@ pub mod frame;
 mod network;
 mod storage;
 mod topology;
-pub mod wire;
 
 pub use cluster::{ClusterSpec, TopologyKind};
 pub use coalesce::{Batch, BatchParams, Coalescer, Enqueue, FlushCause};

@@ -182,7 +182,7 @@ impl<T: Topology> Network<T> {
     /// integrity on, every corrupt arrival is caught at the receiver and
     /// surfaces as [`TransferFault::Corrupted`] (retryable); with it off,
     /// corrupt payloads are delivered as if nothing happened and only the
-    /// [`Delivered::intact`] flag of the `_frame` APIs betrays them.
+    /// [`Delivered::intact`] flag betrays them.
     pub fn set_integrity(&mut self, on: bool) {
         self.integrity = on;
     }
@@ -274,25 +274,14 @@ impl<T: Topology> Network<T> {
     ///   left, they just never arrived — and is reported as
     ///   [`TransferFault::Dropped`].
     /// - An injected delay postpones arrival past the cost model's time.
+    /// - A corruption is made visible: the returned [`Delivered`] carries
+    ///   an `intact` flag, and with integrity enabled a corrupt arrival is
+    ///   refused as [`TransferFault::Corrupted`] after billing the full
+    ///   transfer (the bytes did cross the wire — the receiver just
+    ///   refuses to consume them once the checksum fails).
     ///
     /// Without a fault plan this is exactly [`Network::transfer`].
     pub fn try_transfer(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-    ) -> Result<SimTime, TransferFault> {
-        self.try_transfer_frame(now, src, dst, bytes).map(|d| d.at)
-    }
-
-    /// [`Network::try_transfer`] with corruption made visible: the
-    /// returned [`Delivered`] carries an `intact` flag, and with
-    /// integrity enabled a corrupt arrival is refused as
-    /// [`TransferFault::Corrupted`] after billing the full transfer (the
-    /// bytes did cross the wire — the receiver just refuses to consume
-    /// them once the checksum fails).
-    pub fn try_transfer_frame(
         &mut self,
         now: SimTime,
         src: NodeId,
@@ -447,25 +436,13 @@ impl<T: Topology> Network<T> {
     /// `policy.max_attempts`; dead endpoints fail immediately — telling a
     /// crashed peer from a lossy link is the failure detector's job, not
     /// the transport's.
-    pub fn transfer_with_retry(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-        policy: &RetryPolicy,
-    ) -> Result<SimTime, TransferFault> {
-        self.transfer_with_retry_frame(now, src, dst, bytes, policy)
-            .map(|d| d.at)
-    }
-
-    /// [`Network::transfer_with_retry`] with corruption made visible.
+    ///
     /// Detected corruptions ([`TransferFault::Corrupted`], integrity on)
     /// are re-requested under the same bounded backoff as drops — the
     /// receiver noticed the bad checksum after the full transfer, so the
     /// re-request is billed from the (later) failed arrival, counted
     /// under [`TrafficStats::re_requests`] rather than `retries`.
-    pub fn transfer_with_retry_frame(
+    pub fn transfer_with_retry(
         &mut self,
         now: SimTime,
         src: NodeId,
@@ -476,7 +453,7 @@ impl<T: Topology> Network<T> {
         let mut t = now;
         let mut attempt = 1u32;
         loop {
-            match self.try_transfer_frame(t, src, dst, bytes) {
+            match self.try_transfer(t, src, dst, bytes) {
                 Ok(delivered) => return Ok(delivered),
                 Err(fault @ (TransferFault::Dropped | TransferFault::Corrupted)) => {
                     if attempt >= policy.max_attempts.max(1) {
@@ -515,28 +492,12 @@ impl<T: Topology> Network<T> {
     /// covers every byte, and the fault plan's verdict applies to the
     /// batch as a unit (a retry re-bills the entire flush; a definitive
     /// loss fails every member). Accounted under the batch counters in
-    /// [`TrafficStats`] on top of the ordinary remote tally.
+    /// [`TrafficStats`] on top of the ordinary remote tally. A corruption
+    /// verdict also applies to the whole flush: a detected corrupt batch
+    /// is re-requested as a unit, and an undetected one poisons every
+    /// member.
     #[allow(clippy::too_many_arguments)]
     pub fn transfer_batch(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        total_bytes: usize,
-        msgs: u64,
-        cause: FlushCause,
-        policy: &RetryPolicy,
-    ) -> Result<SimTime, TransferFault> {
-        self.transfer_batch_frame(now, src, dst, total_bytes, msgs, cause, policy)
-            .map(|d| d.at)
-    }
-
-    /// [`Network::transfer_batch`] with corruption made visible. The
-    /// fault plan's verdict — including a corruption — applies to the
-    /// whole flush: a detected corrupt batch is re-requested as a unit,
-    /// and an undetected one poisons every member.
-    #[allow(clippy::too_many_arguments)]
-    pub fn transfer_batch_frame(
         &mut self,
         now: SimTime,
         src: NodeId,
@@ -550,7 +511,7 @@ impl<T: Topology> Network<T> {
         self.stats.batched_msgs += msgs;
         self.stats.batched_bytes += total_bytes as u64;
         self.stats.flushes_by_cause[cause as usize] += 1;
-        self.transfer_with_retry_frame(now, src, dst, total_bytes, policy)
+        self.transfer_with_retry(now, src, dst, total_bytes, policy)
     }
 
     /// Like [`Network::transfer`] but without occupying the NICs — used to
@@ -638,7 +599,7 @@ mod tests {
     fn try_transfer_without_plan_matches_transfer() {
         let mut a = net(2);
         let mut b = net(2);
-        let r1 = a.try_transfer(t(0), 0, 1, 4096).unwrap();
+        let r1 = a.try_transfer(t(0), 0, 1, 4096).unwrap().at;
         let r2 = b.transfer(t(0), 0, 1, 4096);
         assert_eq!(r1, r2);
     }
@@ -709,7 +670,7 @@ mod tests {
         let clean = net(2).estimate(t(0), 0, 1, 1_000);
         let mut n = net(2);
         n.install_faults(FaultPlan::new(2).with_delay(1.0, SimDuration::from_nanos(5_000)));
-        let arrival = n.try_transfer(t(0), 0, 1, 1_000).unwrap();
+        let arrival = n.try_transfer(t(0), 0, 1, 1_000).unwrap().at;
         assert_eq!(arrival.as_nanos(), clean.as_nanos() + 5_000);
         assert_eq!(n.stats().delayed, 1);
     }
@@ -751,6 +712,7 @@ mod tests {
         let one = batched
             .transfer_batch(t(0), 0, 1, n_msgs * b, n_msgs as u64, FlushCause::Window, &policy)
             .unwrap()
+            .at
             .as_nanos();
         // (n-1) wire latencies are saved; NIC occupancy still covers every
         // byte (serialization of n·b differs from n·ser(b) only by ns-level
@@ -775,10 +737,11 @@ mod tests {
         let policy = RetryPolicy::default();
         let mut a = net(2);
         let mut b = net(2);
-        let single = a.transfer_with_retry(t(0), 0, 1, 4_096, &policy).unwrap();
+        let single = a.transfer_with_retry(t(0), 0, 1, 4_096, &policy).unwrap().at;
         let batch = b
             .transfer_batch(t(0), 0, 1, 4_096, 1, FlushCause::Msgs, &policy)
-            .unwrap();
+            .unwrap()
+            .at;
         assert_eq!(single, batch);
         assert_eq!(b.stats().flushes_by_cause, [0, 0, 1]);
     }
@@ -812,12 +775,13 @@ mod tests {
         n.install_faults(FaultPlan::new(6).with_corruption(1.0));
         // Integrity off: the mangled message arrives like any other, at
         // the clean price, flagged only via `intact`.
-        let d = n.try_transfer_frame(t(0), 0, 1, 1_000).unwrap();
+        let d = n.try_transfer(t(0), 0, 1, 1_000).unwrap();
         assert_eq!(d.at, clean);
         assert!(!d.intact);
         let s = n.stats();
         assert_eq!((s.corrupted, s.corrupt_undetected, s.corrupt_detected), (1, 1, 0));
-        // The legacy API consumes it silently — the pre-integrity world.
+        // Without verification it is consumed silently — the
+        // pre-integrity world.
         assert!(n.try_transfer(t(0), 0, 1, 1_000).is_ok());
         assert_eq!(n.stats().corrupt_undetected, 2);
     }
@@ -833,7 +797,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         assert_eq!(
-            n.transfer_with_retry_frame(t(0), 0, 1, 1_000, &policy),
+            n.transfer_with_retry(t(0), 0, 1, 1_000, &policy),
             Err(TransferFault::Corrupted)
         );
         let s = n.stats();
@@ -860,7 +824,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         assert!(n
-            .transfer_batch_frame(t(0), 0, 1, 8_192, 4, FlushCause::Bytes, &policy)
+            .transfer_batch(t(0), 0, 1, 8_192, 4, FlushCause::Bytes, &policy)
             .is_err());
         let s = n.stats();
         assert_eq!(s.batches, 1);
@@ -877,9 +841,9 @@ mod tests {
         n.install_faults(FaultPlan::new(13).with_corruption(1.0));
         let sink = TraceSink::enabled(2, &TraceConfig::default());
         n.install_trace(sink.clone());
-        let _ = n.try_transfer_frame(t(0), 0, 1, 256);
+        let _ = n.try_transfer(t(0), 0, 1, 256);
         n.set_integrity(true);
-        let _ = n.try_transfer_frame(t(0), 0, 1, 256);
+        let _ = n.try_transfer(t(0), 0, 1, 256);
         let trace = sink.take().unwrap();
         let corrupts: Vec<_> = trace
             .events

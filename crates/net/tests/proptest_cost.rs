@@ -115,7 +115,8 @@ proptest! {
                 FlushCause::Window,
                 &RetryPolicy::default(),
             )
-            .expect("no faults installed");
+            .expect("no faults installed")
+            .at;
         let batch_price = (batch_end - t(0)).as_nanos();
         let sum_of_parts: u64 = sizes.iter().map(|&b| solo_price(src, dst, b)).sum();
         prop_assert!(
@@ -153,7 +154,8 @@ proptest! {
                 FlushCause::Msgs,
                 &RetryPolicy::default(),
             )
-            .expect("no faults installed");
+            .expect("no faults installed")
+            .at;
         prop_assert_eq!((batch_end - t(0)).as_nanos(), solo_price(src, dst, bytes));
     }
 }

@@ -9,21 +9,33 @@
 //! this is the scheme the TPC evaluation code uses to distribute its
 //! kd-tree.
 
-use serde::{Deserialize, Serialize};
-
 use crate::region::Region;
 use crate::tree::TreeRegion;
 use crate::treepath::TreePath;
+use crate::wire::{Wire, WireError};
 
 /// A coarse, bitmask-backed region over a binary tree split at depth `h`.
 ///
 /// Two regions are only compatible (for set operations) if they share the
 /// same split depth `h`; mixing depths is a programming error and panics.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct BitmaskTreeRegion {
     h: u8,
     /// Bit 0: root block; bits 1..=2^h: subtrees, packed into u64 words.
     words: Vec<u64>,
+}
+
+impl Wire for BitmaskTreeRegion {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.h.encode_into(out);
+        self.words.encode_into(out);
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(BitmaskTreeRegion {
+            h: Wire::decode_from(input)?,
+            words: Wire::decode_from(input)?,
+        })
+    }
 }
 
 impl PartialEq for BitmaskTreeRegion {

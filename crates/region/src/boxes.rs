@@ -5,10 +5,9 @@
 //! region scheme the AllScale prototype ships for its `Grid` data item and
 //! the one used by the stencil and iPiC3D evaluation codes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::point::{GridBox, Point};
 use crate::region::Region;
+use crate::wire::{Wire, WireError};
 
 /// A region of an N-dimensional grid: a set of pairwise-disjoint boxes.
 ///
@@ -17,9 +16,18 @@ use crate::region::Region;
 /// (important for long-running simulations that repeatedly migrate halos).
 /// Semantic equality is still *set* equality, implemented by mutual
 /// difference, so structurally different decompositions compare equal.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct BoxRegion<const D: usize> {
     boxes: Vec<GridBox<D>>,
+}
+
+impl<const D: usize> Wire for BoxRegion<D> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.boxes.encode_into(out);
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        Wire::decode_from(input).map(|boxes| BoxRegion { boxes })
+    }
 }
 
 impl<const D: usize> BoxRegion<D> {

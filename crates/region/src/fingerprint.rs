@@ -1,4 +1,6 @@
-//! Cheap, stable fingerprints for region values.
+//! Cheap, stable fingerprints: the one FNV-1a 64-bit function behind
+//! region fingerprints, checkpoint shard sums, transfer frame checksums
+//! and key bucketing.
 //!
 //! The runtime's location cache (`allscale-core`) keys cached region
 //! resolutions by a 64-bit fingerprint of the queried region. The hash has
@@ -14,10 +16,10 @@
 //! wrong answer.
 
 /// The FNV-1a 64-bit offset basis.
-pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The FNV-1a 64-bit prime.
-pub const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
+const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Hash a byte slice with FNV-1a 64-bit.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
@@ -29,41 +31,9 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A streaming FNV-1a 64-bit hasher implementing [`std::hash::Hasher`],
-/// for fingerprinting values piecewise without materializing a buffer.
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    /// A hasher at the offset basis.
-    pub fn new() -> Self {
-        Fnv64(FNV64_OFFSET)
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::hash::Hasher for Fnv64 {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV64_PRIME);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::Hasher;
 
     #[test]
     fn matches_known_fnv1a_vectors() {
@@ -71,14 +41,6 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    #[test]
-    fn streaming_agrees_with_oneshot() {
-        let mut h = Fnv64::new();
-        h.write(b"foo");
-        h.write(b"bar");
-        assert_eq!(h.finish(), fnv1a_64(b"foobar"));
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //!
 //! This module defines the fragment contract. Fragments are plain values:
 //! extracting a region yields a *new fragment* holding copies of the
-//! covered elements, and fragments are serializable, so the runtime can
-//! ship them between simulated address spaces as bytes.
-
-use serde::{de::DeserializeOwned, Serialize};
+//! covered elements, and fragments have a [`Wire`] encoding, so the runtime
+//! can ship them between simulated address spaces as bytes.
 
 use crate::region::Region;
+use crate::wire::Wire;
 
 /// A container holding the elements of one region of a data item within a
 /// single address space.
@@ -29,7 +28,7 @@ use crate::region::Region;
 ///   covered by `g` take `g`'s values (last writer wins);
 /// - after `f.remove(&r)`, `f.region() == old \ r`, all surviving elements
 ///   unchanged.
-pub trait Fragment: Serialize + DeserializeOwned + Clone + 'static {
+pub trait Fragment: Wire + Clone + 'static {
     /// The region scheme addressing this fragment's elements.
     type Region: Region;
 

@@ -5,18 +5,30 @@
 //! time, so halo exchange and redistribution are memcpy-bound rather than
 //! per-element.
 
-use serde::{Deserialize, Serialize};
-
 use crate::boxes::BoxRegion;
 use crate::fragment::Fragment;
 use crate::point::{GridBox, Point};
 use crate::region::Region;
+use crate::wire::{Wire, WireError};
 
 /// A dense row-major block of grid elements covering one box.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 struct Chunk<T, const D: usize> {
     bx: GridBox<D>,
     data: Vec<T>,
+}
+
+impl<T: Wire, const D: usize> Wire for Chunk<T, D> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.bx.encode_into(out);
+        self.data.encode_into(out);
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(Chunk {
+            bx: Wire::decode_from(input)?,
+            data: Wire::decode_from(input)?,
+        })
+    }
 }
 
 impl<T: Clone, const D: usize> Chunk<T, D> {
@@ -34,14 +46,23 @@ impl<T: Clone, const D: usize> Chunk<T, D> {
 
 /// The elements of one region of an N-dimensional grid, held in a single
 /// address space.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct GridFragment<T, const D: usize> {
     chunks: Vec<Chunk<T, D>>,
 }
 
+impl<T: Wire, const D: usize> Wire for GridFragment<T, D> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.chunks.encode_into(out);
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        Wire::decode_from(input).map(|chunks| GridFragment { chunks })
+    }
+}
+
 impl<T, const D: usize> GridFragment<T, D>
 where
-    T: Clone + Default + Serialize + for<'a> Deserialize<'a> + 'static,
+    T: Clone + Default + Wire + 'static,
 {
     /// Allocate a fragment covering `region`, elements default-initialized.
     pub fn new(region: &BoxRegion<D>) -> Self {
@@ -154,7 +175,7 @@ fn copy_box<T: Clone, const D: usize>(src: &Chunk<T, D>, dst: &mut Chunk<T, D>, 
 
 impl<T, const D: usize> Fragment for GridFragment<T, D>
 where
-    T: Clone + Default + Serialize + for<'a> Deserialize<'a> + 'static,
+    T: Clone + Default + Wire + 'static,
 {
     type Region = BoxRegion<D>;
 
@@ -333,11 +354,8 @@ mod tests {
 
     #[test]
     fn serde_round_trip_preserves_everything() {
-        // Use a JSON-free check: clone acts as the serde stand-in at this
-        // layer; byte-level round trips are covered by the wire codec tests
-        // in allscale-net and the manager tests in allscale-core.
         let f = filled(&r2([0, 0], [3, 3]));
-        let g = f.clone();
+        let g: GridFragment<i64, 2> = crate::wire::decode(&crate::wire::encode(&f)).unwrap();
         assert_eq!(g.get(&Point([2, 2])), Some(&202));
         assert_eq!(g.region(), f.region());
     }

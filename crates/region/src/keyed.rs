@@ -8,17 +8,18 @@
 //! pairs of the covered buckets. Distribution therefore follows consistent
 //! hashing: the runtime can migrate or replicate any subset of buckets.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+use crate::fingerprint::fnv1a_64;
 use crate::fragment::Fragment;
 use crate::region::Region;
+use crate::wire::{self, Wire, WireError};
 
 /// A region over the hash buckets of a keyed data item.
 ///
 /// All regions of one item must use the same bucket count; mixing counts
 /// panics (it is a programming error, like mixing items).
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct BucketRegion {
     buckets: u32,
     words: Vec<u64>,
@@ -108,15 +109,10 @@ impl BucketRegion {
         self.words.iter().map(|w| w.count_ones()).sum()
     }
 
-    /// The bucket a key hashes into (splitmix64 over the serde bytes is
-    /// overkill; a seeded FNV-1a keeps this dependency-free and stable).
+    /// The bucket a key's encoded bytes hash into (FNV-1a, stable across
+    /// runs and processes).
     pub fn bucket_of_bytes(buckets: u32, key_bytes: &[u8]) -> u32 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key_bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        (h % buckets as u64) as u32
+        (fnv1a_64(key_bytes) % buckets as u64) as u32
     }
 
     fn zip(&self, other: &Self, op: fn(u64, u64) -> u64) -> Self {
@@ -180,12 +176,21 @@ impl Region for BucketRegion {
     }
 }
 
+impl Wire for BucketRegion {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.buckets.encode_into(out);
+        self.words.encode_into(out);
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(BucketRegion {
+            buckets: Wire::decode_from(input)?,
+            words: Wire::decode_from(input)?,
+        })
+    }
+}
+
 /// The key-value pairs of a keyed data item's covered buckets.
-#[derive(Clone, Serialize, Deserialize)]
-#[serde(bound(
-    serialize = "K: Serialize, V: Serialize",
-    deserialize = "K: serde::de::DeserializeOwned + Ord, V: serde::de::DeserializeOwned"
-))]
+#[derive(Clone)]
 pub struct KeyedFragment<K: Ord, V> {
     region: BucketRegion,
     entries: BTreeMap<K, (u32, V)>, // key -> (bucket, value)
@@ -193,8 +198,8 @@ pub struct KeyedFragment<K: Ord, V> {
 
 impl<K, V> KeyedFragment<K, V>
 where
-    K: Ord + Clone + Serialize + for<'a> Deserialize<'a> + 'static,
-    V: Clone + Serialize + for<'a> Deserialize<'a> + 'static,
+    K: Ord + Clone + Wire + 'static,
+    V: Clone + Wire + 'static,
 {
     /// An empty fragment covering `region`.
     pub fn new(region: BucketRegion) -> Self {
@@ -204,10 +209,9 @@ where
         }
     }
 
-    /// The bucket a key belongs to.
+    /// The bucket a key belongs to: the hash of its wire encoding.
     pub fn bucket_of(&self, key: &K) -> u32 {
-        let bytes = allscale_key_bytes(key);
-        BucketRegion::bucket_of_bytes(self.region.buckets(), &bytes)
+        BucketRegion::bucket_of_bytes(self.region.buckets(), &wire::encode(key))
     }
 
     /// Insert a key-value pair. Returns `false` (dropping the value) when
@@ -247,186 +251,23 @@ where
     }
 }
 
-/// Stable serialized key bytes for hashing.
-fn allscale_key_bytes<K: Serialize>(key: &K) -> Vec<u8> {
-    // A tiny standalone encoding (the wire codec lives in allscale-net,
-    // which this crate must not depend on): serde → JSON-free canonical
-    // bytes via the debug of a minimal hand encoder would be fragile, so
-    // we use the pragmatic route — serde into a Vec through the compact
-    // `serde` "bincode-like" encoding implemented by `postcard`-style
-    // hand rolling is unnecessary: keys used by the runtime must simply
-    // provide stable bytes, which `serde`'s derive of `Serialize` into
-    // this minimal writer guarantees.
-    struct W(Vec<u8>);
-    impl W {
-        fn push(&mut self, b: &[u8]) {
-            self.0.extend_from_slice(b);
-        }
+impl<K: Ord + Wire, V: Wire> Wire for KeyedFragment<K, V> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.region.encode_into(out);
+        self.entries.encode_into(out);
     }
-    // Minimal serializer: only what keys need (ints, strings, tuples,
-    // newtypes). Anything else panics loudly.
-    use serde::ser::{Impossible, Serializer};
-    struct KeySer<'a>(&'a mut W);
-    #[derive(Debug)]
-    struct KeyErr(String);
-    impl std::fmt::Display for KeyErr {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "{}", self.0)
-        }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(KeyedFragment {
+            region: Wire::decode_from(input)?,
+            entries: Wire::decode_from(input)?,
+        })
     }
-    impl std::error::Error for KeyErr {}
-    impl serde::ser::Error for KeyErr {
-        fn custom<T: std::fmt::Display>(m: T) -> Self {
-            KeyErr(m.to_string())
-        }
-    }
-    macro_rules! prim {
-        ($f:ident, $t:ty) => {
-            fn $f(self, v: $t) -> Result<(), KeyErr> {
-                self.0.push(&v.to_le_bytes());
-                Ok(())
-            }
-        };
-    }
-    impl<'a> Serializer for KeySer<'a> {
-        type Ok = ();
-        type Error = KeyErr;
-        type SerializeSeq = Impossible<(), KeyErr>;
-        type SerializeTuple = KeyTuple<'a>;
-        type SerializeTupleStruct = Impossible<(), KeyErr>;
-        type SerializeTupleVariant = Impossible<(), KeyErr>;
-        type SerializeMap = Impossible<(), KeyErr>;
-        type SerializeStruct = Impossible<(), KeyErr>;
-        type SerializeStructVariant = Impossible<(), KeyErr>;
-        prim!(serialize_i8, i8);
-        prim!(serialize_i16, i16);
-        prim!(serialize_i32, i32);
-        prim!(serialize_i64, i64);
-        prim!(serialize_u8, u8);
-        prim!(serialize_u16, u16);
-        prim!(serialize_u32, u32);
-        prim!(serialize_u64, u64);
-        prim!(serialize_f32, f32);
-        prim!(serialize_f64, f64);
-        fn serialize_bool(self, v: bool) -> Result<(), KeyErr> {
-            self.0.push(&[v as u8]);
-            Ok(())
-        }
-        fn serialize_char(self, v: char) -> Result<(), KeyErr> {
-            self.0.push(&(v as u32).to_le_bytes());
-            Ok(())
-        }
-        fn serialize_str(self, v: &str) -> Result<(), KeyErr> {
-            self.0.push(v.as_bytes());
-            Ok(())
-        }
-        fn serialize_bytes(self, v: &[u8]) -> Result<(), KeyErr> {
-            self.0.push(v);
-            Ok(())
-        }
-        fn serialize_none(self) -> Result<(), KeyErr> {
-            self.0.push(&[0]);
-            Ok(())
-        }
-        fn serialize_some<T: Serialize + ?Sized>(self, v: &T) -> Result<(), KeyErr> {
-            self.0.push(&[1]);
-            v.serialize(KeySer(self.0))
-        }
-        fn serialize_unit(self) -> Result<(), KeyErr> {
-            Ok(())
-        }
-        fn serialize_unit_struct(self, _: &'static str) -> Result<(), KeyErr> {
-            Ok(())
-        }
-        fn serialize_unit_variant(
-            self,
-            _: &'static str,
-            idx: u32,
-            _: &'static str,
-        ) -> Result<(), KeyErr> {
-            self.0.push(&idx.to_le_bytes());
-            Ok(())
-        }
-        fn serialize_newtype_struct<T: Serialize + ?Sized>(
-            self,
-            _: &'static str,
-            v: &T,
-        ) -> Result<(), KeyErr> {
-            v.serialize(self)
-        }
-        fn serialize_newtype_variant<T: Serialize + ?Sized>(
-            self,
-            _: &'static str,
-            idx: u32,
-            _: &'static str,
-            v: &T,
-        ) -> Result<(), KeyErr> {
-            self.0.push(&idx.to_le_bytes());
-            v.serialize(KeySer(self.0))
-        }
-        fn serialize_seq(self, _: Option<usize>) -> Result<Self::SerializeSeq, KeyErr> {
-            Err(serde::ser::Error::custom("seq keys unsupported"))
-        }
-        fn serialize_tuple(self, _: usize) -> Result<Self::SerializeTuple, KeyErr> {
-            Ok(KeyTuple(self.0))
-        }
-        fn serialize_tuple_struct(
-            self,
-            _: &'static str,
-            _: usize,
-        ) -> Result<Self::SerializeTupleStruct, KeyErr> {
-            Err(serde::ser::Error::custom("tuple-struct keys unsupported"))
-        }
-        fn serialize_tuple_variant(
-            self,
-            _: &'static str,
-            _: u32,
-            _: &'static str,
-            _: usize,
-        ) -> Result<Self::SerializeTupleVariant, KeyErr> {
-            Err(serde::ser::Error::custom("tuple-variant keys unsupported"))
-        }
-        fn serialize_map(self, _: Option<usize>) -> Result<Self::SerializeMap, KeyErr> {
-            Err(serde::ser::Error::custom("map keys unsupported"))
-        }
-        fn serialize_struct(
-            self,
-            _: &'static str,
-            _: usize,
-        ) -> Result<Self::SerializeStruct, KeyErr> {
-            Err(serde::ser::Error::custom("struct keys unsupported"))
-        }
-        fn serialize_struct_variant(
-            self,
-            _: &'static str,
-            _: u32,
-            _: &'static str,
-            _: usize,
-        ) -> Result<Self::SerializeStructVariant, KeyErr> {
-            Err(serde::ser::Error::custom("struct-variant keys unsupported"))
-        }
-    }
-    struct KeyTuple<'a>(&'a mut W);
-    impl serde::ser::SerializeTuple for KeyTuple<'_> {
-        type Ok = ();
-        type Error = KeyErr;
-        fn serialize_element<T: Serialize + ?Sized>(&mut self, v: &T) -> Result<(), KeyErr> {
-            v.serialize(KeySer(self.0))
-        }
-        fn end(self) -> Result<(), KeyErr> {
-            Ok(())
-        }
-    }
-
-    let mut w = W(Vec::new());
-    key.serialize(KeySer(&mut w)).expect("hashable key type");
-    w.0
 }
 
 impl<K, V> Fragment for KeyedFragment<K, V>
 where
-    K: Ord + Clone + Serialize + for<'a> Deserialize<'a> + 'static,
-    V: Clone + Serialize + for<'a> Deserialize<'a> + 'static,
+    K: Ord + Clone + Wire + 'static,
+    V: Clone + Wire + 'static,
 {
     type Region = BucketRegion;
 
@@ -527,6 +368,19 @@ mod tests {
     }
 
     #[test]
+    fn u64_keys_bucket_by_their_little_endian_bytes() {
+        // The KV app's shard map buckets keys by `k.to_le_bytes()`; the
+        // fragment must agree or inserts land outside their shard.
+        let f: KeyedFragment<u64, u64> = KeyedFragment::new(BucketRegion::full(B));
+        for k in (0..1000u64).chain([1 << 40, u64::MAX]) {
+            assert_eq!(
+                f.bucket_of(&k),
+                BucketRegion::bucket_of_bytes(B, &k.to_le_bytes())
+            );
+        }
+    }
+
+    #[test]
     fn keyed_fragment_insert_get() {
         let mut f: KeyedFragment<u64, String> = KeyedFragment::new(BucketRegion::full(B));
         assert!(f.insert(7, "seven".into()));
@@ -546,7 +400,7 @@ mod tests {
         let mut hit = None;
         let mut miss = None;
         for k in 0..1000u64 {
-            let b = BucketRegion::bucket_of_bytes(B, &allscale_key_bytes(&k));
+            let b = BucketRegion::bucket_of_bytes(B, &wire::encode(&k));
             if b == 3 && hit.is_none() {
                 hit = Some(k);
             }

@@ -9,13 +9,14 @@
 //! - [`BoxRegion`]: sets of axis-aligned boxes over N-dimensional grids;
 //! - [`TreeRegion`]: include/exclude subtree sets over binary trees;
 //! - [`BitmaskTreeRegion`]: coarse blocked tree regions (root block +
-//!   `2^h` subtrees addressed by a bitmask);
-//!
-//! plus [`IntervalRegion`] for linearly addressed items.
+//!   `2^h` subtrees addressed by a bitmask).
 //!
 //! Element storage is provided by fragments ([`GridFragment`],
 //! [`TreeFragment`]) implementing the [`Fragment`] contract used by the
 //! runtime's data item manager.
+//!
+//! [`wire`] is the one codec through which regions, fragments and message
+//! payloads cross address spaces. The crate has no dependencies.
 
 #![warn(missing_docs)]
 
@@ -24,7 +25,6 @@ mod boxes;
 mod fingerprint;
 mod fragment;
 mod grid_fragment;
-mod interval;
 mod keyed;
 mod point;
 mod region;
@@ -32,13 +32,13 @@ mod scalar;
 mod tree;
 mod tree_fragment;
 mod treepath;
+pub mod wire;
 
 pub use bitmask::BitmaskTreeRegion;
 pub use boxes::BoxRegion;
-pub use fingerprint::{fnv1a_64, Fnv64};
+pub use fingerprint::fnv1a_64;
 pub use fragment::{Fragment, ItemType};
 pub use grid_fragment::GridFragment;
-pub use interval::IntervalRegion;
 pub use keyed::{BucketRegion, KeyedFragment};
 pub use point::{BoxPoints, GridBox, Point};
 pub use region::{check_laws, Region};

@@ -10,9 +10,10 @@
 //! Every implementation in this crate is property-tested against a
 //! brute-force element-set oracle; see [`check_laws`].
 
-use serde::{de::DeserializeOwned, Serialize};
 use std::collections::BTreeSet;
 use std::fmt::Debug;
+
+use crate::wire::{self, Wire};
 
 /// An addressable subset of a data item's elements, closed under the
 /// Boolean set operations.
@@ -26,7 +27,7 @@ use std::fmt::Debug;
 ///
 /// Equality must be *semantic*: two differently-structured representations
 /// of the same element set compare equal.
-pub trait Region: Clone + PartialEq + Debug + Serialize + DeserializeOwned + 'static {
+pub trait Region: Clone + PartialEq + Debug + Wire + 'static {
     /// The empty region.
     fn empty() -> Self;
 
@@ -129,9 +130,7 @@ where
     );
     assert_eq!(a.difference(b).intersect(b), R::empty());
 
-    // Round-trip through the wire-independent serde data model using the
-    // canonical token-less path: Clone + PartialEq suffices here; actual
-    // byte-level round-trips are exercised by the net crate's codec tests.
-    let cloned = a.clone();
-    assert_eq!(cloned, *a);
+    // The region survives a trip through the wire codec.
+    let back: R = wire::decode(&wire::encode(a)).expect("region decodes");
+    assert_eq!(back, *a, "wire round trip changed {a:?}");
 }

@@ -5,16 +5,24 @@
 //! A scalar has exactly one element; its region algebra is the two-element
 //! Boolean algebra {∅, {•}}, and its fragment holds at most one value.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fragment::Fragment;
 use crate::region::Region;
+use crate::wire::{Wire, WireError};
 
 /// The region scheme of a single-element data item: either empty or the
 /// whole element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitRegion {
     present: bool,
+}
+
+impl Wire for UnitRegion {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.present.encode_into(out);
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        Wire::decode_from(input).map(|present| UnitRegion { present })
+    }
 }
 
 impl UnitRegion {
@@ -52,14 +60,23 @@ impl Region for UnitRegion {
 }
 
 /// Fragment of a scalar data item: at most one value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalarFragment<T> {
     value: Option<T>,
 }
 
+impl<T: Wire> Wire for ScalarFragment<T> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.value.encode_into(out);
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        Wire::decode_from(input).map(|value| ScalarFragment { value })
+    }
+}
+
 impl<T> ScalarFragment<T>
 where
-    T: Clone + Default + Serialize + for<'a> Deserialize<'a> + 'static,
+    T: Clone + Default + Wire + 'static,
 {
     /// Read the value, if held locally.
     pub fn get(&self) -> Option<&T> {
@@ -79,7 +96,7 @@ where
 
 impl<T> Fragment for ScalarFragment<T>
 where
-    T: Clone + Default + Serialize + for<'a> Deserialize<'a> + 'static,
+    T: Clone + Default + Wire + 'static,
 {
     type Region = UnitRegion;
 

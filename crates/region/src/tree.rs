@@ -11,18 +11,26 @@
 //! set operations, and its normalized shape is canonical, making structural
 //! equality semantic.
 
-use serde::{Deserialize, Serialize};
-
 use crate::region::Region;
 use crate::treepath::TreePath;
+use crate::wire::{bad_variant, Wire, WireError};
 
 /// A region over the nodes of a (conceptually unbounded) binary tree.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct TreeRegion {
     root: Trie,
 }
 
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+impl Wire for TreeRegion {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.root.encode_into(out);
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        Trie::decode_from(input).map(|root| TreeRegion { root })
+    }
+}
+
+#[derive(Clone, PartialEq, Eq)]
 enum Trie {
     /// The whole subtree (including its root) is in the region.
     Full,
@@ -34,6 +42,37 @@ enum Trie {
         left: Box<Trie>,
         right: Box<Trie>,
     },
+}
+
+impl Wire for Trie {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            Trie::Full => 0u32.encode_into(out),
+            Trie::Empty => 1u32.encode_into(out),
+            Trie::Node {
+                self_in,
+                left,
+                right,
+            } => {
+                2u32.encode_into(out);
+                self_in.encode_into(out);
+                left.encode_into(out);
+                right.encode_into(out);
+            }
+        }
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        match u32::decode_from(input)? {
+            0 => Ok(Trie::Full),
+            1 => Ok(Trie::Empty),
+            2 => Ok(Trie::Node {
+                self_in: Wire::decode_from(input)?,
+                left: Wire::decode_from(input)?,
+                right: Wire::decode_from(input)?,
+            }),
+            i => Err(bad_variant(i)),
+        }
+    }
 }
 
 impl Trie {

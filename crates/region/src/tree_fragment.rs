@@ -5,7 +5,6 @@
 //! blocked [`BitmaskTreeRegion`], both of which implement [`PathRegion`].
 //! The TPC evaluation code distributes its kd-tree with the blocked scheme.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::bitmask::BitmaskTreeRegion;
@@ -13,6 +12,7 @@ use crate::fragment::Fragment;
 use crate::region::Region;
 use crate::tree::TreeRegion;
 use crate::treepath::TreePath;
+use crate::wire::{Wire, WireError};
 
 /// A region scheme over binary-tree node paths that can answer point
 /// membership queries — the capability tree fragments need to clip data.
@@ -40,19 +40,28 @@ impl PathRegion for BitmaskTreeRegion {
 /// its path and the path lies inside the fragment's region. This fits both
 /// incomplete trees (kd-trees over arbitrary point sets) and staged
 /// construction.
-#[derive(Clone, Serialize, Deserialize)]
-#[serde(bound(
-    serialize = "T: Serialize, R: Serialize",
-    deserialize = "T: serde::de::DeserializeOwned, R: serde::de::DeserializeOwned"
-))]
+#[derive(Clone)]
 pub struct TreeFragment<T, R: PathRegion> {
     region: R,
     nodes: BTreeMap<TreePath, T>,
 }
 
+impl<T: Wire, R: PathRegion> Wire for TreeFragment<T, R> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.region.encode_into(out);
+        self.nodes.encode_into(out);
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(TreeFragment {
+            region: Wire::decode_from(input)?,
+            nodes: Wire::decode_from(input)?,
+        })
+    }
+}
+
 impl<T, R> TreeFragment<T, R>
 where
-    T: Clone + Serialize + for<'a> Deserialize<'a> + 'static,
+    T: Clone + Wire + 'static,
     R: PathRegion,
 {
     /// An empty fragment covering `region` (no nodes stored yet).
@@ -96,7 +105,7 @@ where
 
 impl<T, R> Fragment for TreeFragment<T, R>
 where
-    T: Clone + Serialize + for<'a> Deserialize<'a> + 'static,
+    T: Clone + Wire + 'static,
     R: PathRegion,
 {
     type Region = R;

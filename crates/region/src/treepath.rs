@@ -4,18 +4,32 @@
 //! identifies subtrees "by its respective root node"). Paths support at
 //! most 64 levels, far beyond any practical tree height.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
+
+use crate::wire::{Wire, WireError};
 
 /// The path from the root of a binary tree to one of its nodes.
 ///
 /// Bit `i` (little-endian within `bits`) is 0 for "left child" and 1 for
 /// "right child" at depth `i`. `len` is the node's depth; the root has
 /// `len == 0`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TreePath {
     bits: u64,
     len: u8,
+}
+
+impl Wire for TreePath {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.bits.encode_into(out);
+        self.len.encode_into(out);
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(TreePath {
+            bits: Wire::decode_from(input)?,
+            len: Wire::decode_from(input)?,
+        })
+    }
 }
 
 impl TreePath {

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 use allscale_region::{
-    check_laws, BitmaskTreeRegion, BoxRegion, Fragment, GridBox, GridFragment, IntervalRegion,
-    Point, Region, TreePath, TreeRegion,
+    check_laws, BitmaskTreeRegion, BoxRegion, Fragment, GridBox, GridFragment, Point, Region,
+    TreePath, TreeRegion,
 };
 
 // ------------------------------------------------------------- box regions
@@ -62,33 +62,6 @@ proptest! {
         let clipped = a.intersect(&BoxRegion::from_box(universe));
         let d = clipped.dilate_within(1, &universe);
         prop_assert!(clipped.is_subset_of(&d));
-    }
-}
-
-// -------------------------------------------------------- interval regions
-
-fn arb_interval_region() -> impl Strategy<Value = IntervalRegion> {
-    prop::collection::vec((0u64..40, 1u64..10), 0..6)
-        .prop_map(|ivs| IntervalRegion::from_intervals(ivs.into_iter().map(|(l, w)| (l, l + w))))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn interval_region_laws(a in arb_interval_region(), b in arb_interval_region()) {
-        check_laws(&a, &b, |r| r.indices().collect::<BTreeSet<u64>>());
-    }
-
-    #[test]
-    fn interval_normalization_is_canonical(a in arb_interval_region()) {
-        // No empty, touching, or out-of-order intervals survive.
-        for w in a.intervals().windows(2) {
-            prop_assert!(w[0].1 < w[1].0, "{:?}", a);
-        }
-        for &(l, h) in a.intervals() {
-            prop_assert!(l < h);
-        }
     }
 }
 

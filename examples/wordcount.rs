@@ -76,7 +76,7 @@ fn main() {
                             for (w, n) in counts {
                                 let probe = allscale_region::BucketRegion::bucket_of_bytes(
                                     BUCKETS,
-                                    w.as_bytes(),
+                                    &allscale_region::wire::encode(&w),
                                 );
                                 if probe == my_bucket {
                                     map.insert(tctx, w, n);

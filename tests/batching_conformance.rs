@@ -219,6 +219,7 @@ fn corrupted_batch_flush_rerequests_as_a_unit() {
     };
     let flush = |n: &mut Network<FatTree>| {
         n.transfer_batch(t0, 0, 1, 48_000, 6, FlushCause::Window, &policy)
+            .map(|d| d.at)
     };
 
     // Fault-free reference, and the pricing identity: verification is
@@ -260,7 +261,8 @@ fn corrupted_batch_flush_rerequests_as_a_unit() {
     let mut one = mk(None, true);
     let batched_one = one
         .transfer_batch(t0, 0, 1, 9_000, 1, FlushCause::Msgs, &policy)
-        .expect("no faults installed");
+        .expect("no faults installed")
+        .at;
     let mut plain = mk(None, false);
     assert_eq!(batched_one, plain.transfer(t0, 0, 1, 9_000));
 }
